@@ -22,8 +22,8 @@ print("a/W   t0^2        lambda      scale       worst |exact-approx|")
 curves = {}
 for aw in (0.5, 1.0, 1.5, 2.0):
     params = weibull_params(aw)
-    exact = np.array([exact_eta_at_offset(float(r), aw) for r in offsets])
-    approx = np.array([eta_approx(float(r), params) for r in offsets])
+    exact = exact_eta_at_offset(offsets, aw)
+    approx = eta_approx(offsets, params)
     curves[aw] = (exact, approx)
     print(f"{aw:3.1f}   {params.t0 ** 2:.6f}   {params.lam:.6f}   "
           f"{params.scale:.6f}   {np.abs(exact - approx).max():.2e}")

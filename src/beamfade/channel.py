@@ -17,15 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import i0e, i1e
-
-# Absolute tolerance demanded of the clipping integral; downstream moment
-# integrals need >= 6 significant digits.
-QUAD_ABS_TOL = 1e-10
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+from scipy.special import chndtr, i1e
 
 
 class QuadratureError(ArithmeticError):
@@ -96,98 +88,50 @@ def max_transmission_coefficient(a_over_W: float) -> float:
     return math.sqrt(-math.expm1(-2.0 * a_over_W**2))
 
 
-def _clip_integrand(rho, r, w):
-    # exp(-2 r^2/w^2) * I0(4 r rho / w^2) computed as a jointly scaled
-    # product: the exponent collapses to -2 (r - rho)^2 / w^2, which never
-    # overflows, and i0e supplies the exponentially scaled Bessel factor.
-    pref = 4.0 / w**2
-    return pref * rho * np.exp(-2.0 * (r - rho) ** 2 / w**2) * i0e(4.0 * r * rho / w**2)
+def _eta_exact(r, a_over_W):
+    # P(|X| <= 1) for X ~ N(r, w^2/4 I), w = W/a: a noncentral chi^2 CDF with
+    # 2 degrees of freedom, equal to 1 - Q_1(2r/w, 2/w) (Marcum Q)
+    k = 4.0 * a_over_W**2
+    return chndtr(k, 2.0, k * np.square(r))
 
 
-def exact_eta_at_offset(r: float, a_over_W: float) -> float:
-    """Intensity transmittance of a displaced Gaussian beam, by adaptive quadrature.
+def exact_eta_at_offset(r, a_over_W: float):
+    """Intensity transmittance of a displaced Gaussian beam, in closed form.
 
     Power fraction of a beam of spot radius w = W/a, displaced by r
     (aperture-radius units), passing the unit-radius aperture:
 
         eta(r) = (4/w^2) exp(-2 r^2/w^2)
                  * integral_0^1 rho exp(-2 rho^2/w^2) I0(4 r rho / w^2) drho
+               = P(chi'^2_2(k r^2) <= k),  k = 4 (a/W)^2
+
+    the noncentral chi^2 CDF with 2 degrees of freedom, i.e. 1 - Q_1(2r/w, 2/w)
+    in terms of Marcum's Q function.
 
     Parameters
     ----------
-    r : float
-        Beam-center offset, >= 0.
+    r : float or array_like
+        Beam-center offset(s), each finite and >= 0.
     a_over_W : float
         Aperture-to-beam-size ratio, > 0.
 
     Returns
     -------
-    float
-        eta in [0, 1 - exp(-2 (a/W)^2)].
-
-    Raises
-    ------
-    QuadratureError
-        If the integrator cannot certify absolute error <= 1e-10.
+    float or ndarray
+        eta in [0, 1 - exp(-2 (a/W)^2)]; a float for a scalar r.
     """
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"offset r must be finite and >= 0, got {r}")
+    r = np.asarray(r, dtype=float)
+    bad = r[~(np.isfinite(r) & (r >= 0))]
+    if bad.size:
+        raise ValueError(f"offset r must be finite and >= 0, got {bad[0]}")
     if not (math.isfinite(a_over_W) and a_over_W > 0):
         raise ValueError(f"a_over_W must be finite and > 0, got {a_over_W}")
-    w = 1.0 / a_over_W
-    points = [r] if 0.0 < r < 1.0 else None
-    val, err = quad(_clip_integrand, 0.0, 1.0, args=(r, w),
-                    epsabs=1e-12, epsrel=1e-12, limit=200, points=points)
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError("transmittance integral did not converge", achieved=err)
-    return float(min(max(val, 0.0), 1.0))
-
-
-def _eta_exact_many(r: np.ndarray, a_over_W: float, nodes: int | None = None) -> np.ndarray:
-    """Vectorized fixed-order Gauss-Legendre version of `exact_eta_at_offset`.
-
-    Used where the exact model must be evaluated at many offsets (sampling,
-    moment integrals); agrees with the adaptive quadrature to ~1e-12.
-    """
-    w = 1.0 / a_over_W
-    if nodes is None:
-        # integrand width ~ w/2 on [0, 1]; keep >= ~25 nodes per width
-        nodes = max(201, int(100 * a_over_W))
-    if nodes not in _GL_CACHE:
-        x, wt = leggauss(nodes)
-        _GL_CACHE[nodes] = (0.5 * (x + 1.0), 0.5 * wt)
-    rho, wts = _GL_CACHE[nodes]
-
-    r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape, dtype=float)
-    flat_r = r.reshape(-1)
-    flat_out = out.reshape(-1)
-    chunk = 16384
-    for lo in range(0, flat_r.size, chunk):
-        rr = flat_r[lo:lo + chunk, None]
-        flat_out[lo:lo + chunk] = _clip_integrand(rho, rr, w) @ wts
-    return np.clip(out, 0.0, 1.0)
-
-
-def _deta_dr(r: float, a_over_W: float) -> float:
-    """d eta / dr of the exact clipping integral (Bessel identity I0' = I1)."""
-    w = 1.0 / a_over_W
-
-    def integrand(rho):
-        z = 4.0 * r * rho / w**2
-        scale = np.exp(-2.0 * (r - rho) ** 2 / w**2)
-        return (16.0 / w**4) * rho * scale * (rho * i1e(z) - r * i0e(z))
-
-    points = [r] if 0.0 < r < 1.0 else None
-    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
-                    limit=200, points=points)
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError("transmittance derivative did not converge", achieved=err)
-    return float(val)
+    out = _eta_exact(r, a_over_W)
+    return out if out.ndim else float(out)
 
 
 def weibull_params(a_over_W: float) -> WeibullParams:
-    """Fit the Weibull-form approximation to the exact clipping integral.
+    """Fit the Weibull-form approximation to the exact clipping transmittance.
 
     The approximation eta(r) ~ t0^2 exp(-(r/scale)**lam) is pinned to the
     exact transmittance by matching the value and the logarithmic derivative
@@ -195,11 +139,16 @@ def weibull_params(a_over_W: float) -> WeibullParams:
 
         G = ln(t0^2 / eta_exact(1)),  D = -(d ln eta_exact / dr)|_{r=1},
         lam = D / G,  scale = G**(-1/lam).
+
+    With k = 4 (a/W)^2, dQ_M(a, b)/da = a (Q_{M+1} - Q_M) gives
+    d eta_exact / dr = -k exp(-k (r^2 + 1) / 2) I1(k r), so the rim slope is
+    -k i1e(k).
     """
     t0 = max_transmission_coefficient(a_over_W)
-    eta1 = exact_eta_at_offset(1.0, a_over_W)
+    k = 4.0 * a_over_W**2
+    eta1 = float(_eta_exact(1.0, a_over_W))
     g = math.log(t0**2 / eta1)
-    d = -_deta_dr(1.0, a_over_W) / eta1
+    d = k * float(i1e(k)) / eta1
     if g <= 0 or d <= 0:
         raise QuadratureError(
             f"degenerate matching conditions G={g:.3e}, D={d:.3e}", achieved=math.nan)
@@ -243,8 +192,8 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     float or ndarray
         Density per unit T, >= 0.
     """
-    if sigma_b2 <= 0:
-        raise ValueError(f"sigma_b2 must be > 0, got {sigma_b2}")
+    if not (math.isfinite(sigma_b2) and sigma_b2 > 0):
+        raise ValueError(f"sigma_b2 must be finite and > 0, got {sigma_b2}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -269,8 +218,8 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     it serves as an independent check on `pdt_density` and as the model side
     of distribution fitting.
     """
-    if sigma_b2 <= 0:
-        raise ValueError(f"sigma_b2 must be > 0, got {sigma_b2}")
+    if not (math.isfinite(sigma_b2) and sigma_b2 > 0):
+        raise ValueError(f"sigma_b2 must be finite and > 0, got {sigma_b2}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -289,7 +238,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     Draws the beam-center coordinates x, y independently from a zero-mean
     normal with variance sigma_b2, sets r = sqrt(x^2 + y^2) and maps each
     offset through the Weibull approximation (default) or the exact clipping
-    integral.  Identical seed and parameters give an identical sequence.
+    transmittance.  Identical seed and parameters give an identical sequence.
 
     Parameters
     ----------
@@ -316,4 +265,4 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     r = np.hypot(x, y)
     if model == "approx":
         return eta_approx(r, weibull_params(geometry.a_over_W))
-    return _eta_exact_many(r, geometry.a_over_W)
+    return _eta_exact(r, geometry.a_over_W)

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from .channel import (
     BeamGeometry,
     QuadratureError,
-    _eta_exact_many,
+    _eta_exact,
     max_transmission_coefficient,
     weibull_params,
 )
@@ -70,7 +70,7 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
 
     <T^n> = integral_0^inf (r/sigma_b2) exp(-r^2/(2 sigma_b2)) T(r)^n dr for
     n = 1, 2, where T(r) is the Weibull-form transmission coefficient
-    (default) or the square root of the exact clipping integral.  The
+    (default) or the square root of the exact clipping transmittance.  The
     substitution u = r^2/(2 sigma_b2) turns the integrand into exp(-u) times
     a smooth bounded factor.
 
@@ -98,9 +98,7 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
             return t0**n * np.exp(-0.5 * n * (scale_r * np.sqrt(u) / params.scale) ** params.lam)
     else:
         def t_of_u(u, n):
-            eta = _eta_exact_many(np.atleast_1d(scale_r * np.sqrt(u)),
-                                  geometry.a_over_W)[0]
-            return eta ** (0.5 * n)
+            return _eta_exact(scale_r * math.sqrt(u), geometry.a_over_W) ** (0.5 * n)
 
     moments = []
     for n in (1, 2):
@@ -147,8 +145,8 @@ def fading_excess_noise(stats: FadingStats, v: float) -> float:
     V is the quadrature variance of the state entering the channel, in
     shot-noise units; the vacuum (V = 1) picks up no fading noise.
     """
-    if v < 1.0:
-        raise ValueError(f"quadrature variance must be >= 1 SNU, got {v}")
+    if not (math.isfinite(v) and v >= 1.0):
+        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
     return stats.var_sqrt_eta * (v - 1.0)
 
 
@@ -160,9 +158,9 @@ def effective_channel(stats: FadingStats, v: float, epsilon: float) -> tuple[flo
     Var(sqrt(eta)) (V - 1) + T_eff * epsilon, where epsilon is the fixed
     excess noise referred to the channel input.
     """
-    if v < 1.0:
-        raise ValueError(f"quadrature variance must be >= 1 SNU, got {v}")
-    if epsilon < 0.0:
-        raise ValueError(f"excess noise must be >= 0, got {epsilon}")
+    if not (math.isfinite(v) and v >= 1.0):
+        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
     t_eff = stats.sqrt_eta_mean**2
     return t_eff, fading_excess_noise(stats, v) + t_eff * epsilon

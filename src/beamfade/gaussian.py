@@ -75,8 +75,8 @@ def tmsv(v: float) -> CovMat2:
 
     A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.
     """
-    if v < 1.0:
-        raise ValueError(f"quadrature variance must be >= 1 SNU, got {v}")
+    if not (math.isfinite(v) and v >= 1.0):
+        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))
@@ -94,8 +94,8 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     + <sqrt(eta)>^2 epsilon on the diagonal; correlations scale with
     <sqrt(eta)>; mode 1 is untouched.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"excess noise must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c

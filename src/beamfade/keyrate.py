@@ -53,10 +53,12 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        if self.v < 1.0:
-            raise ValueError(f"state variance must be >= 1 SNU, got {self.v}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"excess noise must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.v) and self.v >= 1.0):
+            raise ValueError(
+                f"v (state variance) must be finite and >= 1 SNU, got {self.v}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(
+                f"epsilon (excess noise) must be finite and >= 0, got {self.epsilon}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 

@@ -3,7 +3,16 @@
 Each oracle deliberately takes a different route than the library: plain
 grid integration instead of adaptive quadrature, dense linear algebra
 instead of closed-form invariants, scalar arithmetic instead of matrix
-conditioning, published closed forms instead of numerical matching.  Agreement is then evidence, not tautology.
+conditioning, published closed forms instead of numerical matching.
+Agreement is then evidence, not tautology.
+
+One exception: the exact branches of `eta_of_offset` and `fading_moments`
+use `scipy.stats.ncx2.cdf`, which (scipy 1.17) evaluates
+`scipy.special.chndtr`, the very routine behind the library's exact
+transmittance.  Comparisons through them check the parametrisation
+k = 4 (a/W)^2 and, for the moments, the integration over the offset, but not
+the transmittance routine itself; `eta_disc_2d` is the independent check of
+that.
 """
 
 import math

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from beamfade.channel import (
@@ -57,7 +59,7 @@ class TestExactEta:
         assert exact_eta_at_offset(8.0, 1.0) < 1e-12
 
     def test_disc_integration_oracle(self):
-        # quadrature route vs brute-force 2-D integration over the aperture,
+        # closed form vs brute-force 2-D integration over the aperture,
         # at the rim point and at 10 random (offset, ratio) pairs
         rng = np.random.default_rng(20260819)
         pairs = [(1.0, 1.0)]
@@ -67,8 +69,39 @@ class TestExactEta:
             lib = exact_eta_at_offset(r, aw)
             ref = eta_disc_2d(r, aw)
             assert lib == pytest.approx(ref, rel=1e-6), (r, aw)
+        # narrow and wide beams, the library called once per ratio on an
+        # array of offsets; the disc grid resolves a narrow beam out to
+        # r = 1.1 only, so wider offsets are checked up to a/W = 3
+        for aw, r_max in ((0.2, 2.5), (3.0, 2.5), (5.0, 1.1), (10.0, 1.1)):
+            offsets = np.linspace(0.0, r_max, 12)
+            lib = exact_eta_at_offset(offsets, aw)
+            for r, got in zip(offsets, lib):
+                ref = eta_disc_2d(float(r), aw)
+                if ref >= 1e-12:
+                    assert got == pytest.approx(ref, rel=1e-6), (r, aw)
+                else:
+                    assert got == pytest.approx(ref, abs=1e-12), (r, aw)
+
+    def test_array_matches_scalar_calls(self):
+        offsets = np.linspace(0.0, 3.0, 30).reshape(3, 10)
+        for aw in (0.3, 1.0, 4.0):
+            vals = exact_eta_at_offset(offsets, aw)
+            assert vals.shape == offsets.shape
+            scalars = [exact_eta_at_offset(float(r), aw) for r in offsets.flat]
+            assert all(isinstance(x, float) for x in scalars)
+            assert np.array_equal(vals.ravel(), scalars)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_array_with_one_bad_offset_rejected(self, bad):
+        offsets = np.linspace(0.0, 2.0, 9)
+        offsets[4] = bad
+        with pytest.raises(ValueError, match="offset r"):
+            exact_eta_at_offset(offsets, 1.0)
 
     def test_noncentral_chi2_oracle(self):
+        # the oracle's ncx2.cdf calls the same scipy routine as the library,
+        # so this pins the parametrisation (k = 4 (a/W)^2), not the routine;
+        # the disc integral above is the independent check
         for aw in (0.2, 0.5, 1.0, 3.0, 10.0):
             for r in (0.0, 0.3, 1.0, 2.5):
                 assert exact_eta_at_offset(r, aw) == pytest.approx(
@@ -95,6 +128,41 @@ class TestExactEta:
             exact_eta_at_offset(math.nan, 1.0)
 
 
+OFFSETS = st.floats(min_value=0.0, max_value=6.0)
+RATIOS = st.floats(min_value=1e-3, max_value=50.0)
+PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+class TestExactEtaProperties:
+
+    @PROPERTY_SETTINGS
+    @given(r=OFFSETS, aw=RATIOS)
+    def test_bounded_by_centered_peak(self, r, aw):
+        # chndtr and expm1 may round the centered value apart by an ulp
+        t0_sq = max_transmission_coefficient(aw) ** 2
+        assert 0.0 <= exact_eta_at_offset(r, aw) <= t0_sq * (1.0 + 1e-15)
+
+    @PROPERTY_SETTINGS
+    @given(r1=OFFSETS, r2=OFFSETS, aw=RATIOS)
+    def test_non_increasing_in_offset(self, r1, r2, aw):
+        near, far = sorted((r1, r2))
+        assert exact_eta_at_offset(far, aw) <= exact_eta_at_offset(near, aw)
+
+    @PROPERTY_SETTINGS
+    @given(r=st.floats(min_value=0.0, max_value=1.0), aw1=RATIOS, aw2=RATIOS)
+    def test_non_decreasing_in_ratio_inside_rim(self, r, aw1, aw2):
+        small, large = sorted((aw1, aw2))
+        assert exact_eta_at_offset(r, large) >= exact_eta_at_offset(r, small)
+
+    @PROPERTY_SETTINGS
+    @given(aw=st.floats(min_value=1e-4, max_value=1e-2))
+    @example(aw=1e-3)
+    def test_wide_beam_shape_is_gaussian(self, aw):
+        # a beam much wider than the aperture clips like exp(-(r/scale)^2);
+        # the rim value (1 - i0e(k)) / 2 cancels here and would give ~3
+        assert weibull_params(aw).lam == pytest.approx(2.0, abs=1e-6)
+
+
 class TestWeibullParams:
 
     @pytest.mark.parametrize("aw", AW_GRID)
@@ -115,8 +183,8 @@ class TestWeibullParams:
         assert model == pytest.approx((hi - lo) / (2.0 * h), abs=1e-6)
 
     def test_vasylyev_closed_form(self):
-        # rim matching by quadrature vs the closed-form lam and R of
-        # Vasylyev, Semenov & Vogel (2012)
+        # rim matching (chi^2 CDF value, Bessel slope) vs the closed-form
+        # lam and R of Vasylyev, Semenov & Vogel (2012)
         for aw in np.arange(0.3, 5.0001, 0.1):
             params = weibull_params(float(aw))
             t0_sq, lam, scale = weibull_closed_form(float(aw))
@@ -204,6 +272,11 @@ class TestPdtDensity:
         with pytest.raises(ValueError):
             pdt_density(0.5, params, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, bad):
+        with pytest.raises(ValueError, match="sigma_b2"):
+            pdt_density(0.5, weibull_params(1.0), bad)
+
     def test_moments_match_sampler(self):
         # density route vs Monte-Carlo route for <T> and <T^2>
         params = weibull_params(1.0)
@@ -239,6 +312,11 @@ class TestPdtCdf:
         with pytest.raises(ValueError):
             pdt_cdf(0.5, weibull_params(1.0), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, bad):
+        with pytest.raises(ValueError, match="sigma_b2"):
+            pdt_cdf(0.5, weibull_params(1.0), bad)
+
 
 class TestSampler:
 
@@ -262,7 +340,7 @@ class TestSampler:
 
     def test_exact_model_agrees_with_quadrature(self):
         # pointwise: sampled offsets pushed through the exact model must
-        # reproduce the adaptive-quadrature transmittance
+        # reproduce the scalar transmittance
         geom = BeamGeometry(1.3, 0.4)
         eta = sample_transmittance(geom, seed=9, n=40, model="exact")
         rng = np.random.default_rng(9)

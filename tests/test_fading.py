@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from beamfade.channel import BeamGeometry, max_transmission_coefficient, sample_transmittance
+from beamfade.channel import (
+    BeamGeometry,
+    max_transmission_coefficient,
+    pdt_cdf,
+    pdt_density,
+    sample_transmittance,
+    weibull_params,
+)
 from beamfade.fading import (
     FadingStats,
     analytic_moments,
@@ -131,6 +138,35 @@ class TestAnalyticMoments:
             analytic_moments(REF_GEOMETRY, model="weibull")
 
 
+class TestLargeApertureRatio:
+    # a beam 50 times narrower than the aperture: t0 rounds to 1 and the
+    # Weibull shape reaches lam ~ 115, a near step at the rim
+
+    GEOMETRY = BeamGeometry(50.0, 0.3)
+
+    def test_exact_sampler(self):
+        eta = sample_transmittance(self.GEOMETRY, seed=8, n=100_000, model="exact")
+        assert np.all((eta >= 0.0) & (eta <= 1.0))
+        stats = analytic_moments(self.GEOMETRY, model="exact")
+        assert stats.eta_mean == pytest.approx(eta.mean(), abs=three_se(eta))
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_grid_oracle_agreement(self, model):
+        stats = analytic_moments(self.GEOMETRY, model=model)
+        eta_mean, sqrt_eta_mean = fading_moments(50.0, 0.3, model)
+        assert stats.eta_mean == pytest.approx(eta_mean, abs=1e-7)
+        assert stats.sqrt_eta_mean == pytest.approx(sqrt_eta_mean, abs=1e-7)
+
+    def test_distribution_finite(self):
+        params = weibull_params(50.0)
+        assert params.lam == pytest.approx(114.9, abs=0.01)
+        t = np.linspace(0.0, 1.0, 401)
+        density = pdt_density(t, params, 0.3)
+        cdf = pdt_cdf(t, params, 0.3)
+        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+        assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0.0)
+
+
 class TestEmpiricalMoments:
 
     def test_constant_series(self):
@@ -202,6 +238,10 @@ class TestFadingExcessNoise:
         with pytest.raises(ValueError):
             fading_excess_noise(analytic_moments(REF_GEOMETRY), 0.5)
 
+    def test_rejects_non_finite_variance(self):
+        with pytest.raises(ValueError, match=r"^v "):
+            fading_excess_noise(analytic_moments(REF_GEOMETRY), math.nan)
+
     def test_monte_carlo_quadrature_mixing(self):
         # modulate an independent Gaussian quadrature by sqrt(eta): the
         # variance above the effective-channel signal part is the fading
@@ -241,3 +281,11 @@ class TestEffectiveChannel:
             effective_channel(stats, 0.9, 0.01)
         with pytest.raises(ValueError):
             effective_channel(stats, 7.0, -0.01)
+
+    @pytest.mark.parametrize("field, v, epsilon", [
+        ("v", math.inf, 0.01),
+        ("epsilon", 7.0, math.nan),
+    ])
+    def test_rejects_non_finite_inputs(self, field, v, epsilon):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            effective_channel(analytic_moments(REF_GEOMETRY), v, epsilon)

@@ -88,6 +88,10 @@ class TestTmsv:
         with pytest.raises(ValueError):
             tmsv(0.99)
 
+    def test_rejects_non_finite_variance(self):
+        with pytest.raises(ValueError, match=r"^v "):
+            tmsv(math.nan)
+
 
 class TestSymplecticEigs:
 
@@ -196,6 +200,10 @@ class TestApplyFadingChannel:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             apply_fading_channel(tmsv(7.0), REF_STATS, -0.01)
+
+    def test_rejects_non_finite_noise(self):
+        with pytest.raises(ValueError, match=r"^epsilon "):
+            apply_fading_channel(tmsv(7.0), REF_STATS, math.inf)
 
 
 class TestEntropyG:

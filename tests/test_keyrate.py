@@ -45,6 +45,14 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("v", dict(v=math.nan)),
+        ("epsilon", dict(v=7.0, epsilon=math.inf)),
+    ])
+    def test_rejects_non_finite_fields(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            ProtocolParams(**kwargs)
+
 
 class TestMutualInformation:
 
