@@ -66,8 +66,9 @@ class WeibullParams:
     def __post_init__(self):
         if not (0 < self.t0 <= 1):
             raise ValueError(f"t0 must lie in (0, 1], got {self.t0}")
-        if self.lam <= 0 or self.scale <= 0:
-            raise ValueError(f"lam and scale must be > 0, got {self.lam}, {self.scale}")
+        if not (0 < self.lam < math.inf and 0 < self.scale < math.inf):
+            raise ValueError(f"lam and scale must be finite and > 0, "
+                             f"got {self.lam}, {self.scale}")
 
 
 def max_transmission_coefficient(a_over_W: float) -> float:
@@ -95,6 +96,13 @@ def _eta_exact(r, a_over_W):
     return chndtr(k, 2.0, k * np.square(r))
 
 
+def _no_nan(eta, a_over_W):
+    # from a/W ~ 5e4 on, chndtr returns nan in a band of offsets around r = 1
+    if np.isnan(eta).any():
+        raise ArithmeticError(f"exact transmittance is nan at a_over_W={a_over_W}")
+    return eta
+
+
 def exact_eta_at_offset(r, a_over_W: float):
     """Intensity transmittance of a displaced Gaussian beam, in closed form.
 
@@ -119,6 +127,11 @@ def exact_eta_at_offset(r, a_over_W: float):
     -------
     float or ndarray
         eta in [0, 1 - exp(-2 (a/W)^2)]; a float for a scalar r.
+
+    Raises
+    ------
+    ArithmeticError
+        If the kernel returns nan, which it does near r = 1 from a/W ~ 5e4 on.
     """
     r = np.asarray(r, dtype=float)
     bad = r[~(np.isfinite(r) & (r >= 0))]
@@ -126,7 +139,7 @@ def exact_eta_at_offset(r, a_over_W: float):
         raise ValueError(f"offset r must be finite and >= 0, got {bad[0]}")
     if not (math.isfinite(a_over_W) and a_over_W > 0):
         raise ValueError(f"a_over_W must be finite and > 0, got {a_over_W}")
-    out = _eta_exact(r, a_over_W)
+    out = _no_nan(_eta_exact(r, a_over_W), a_over_W)
     return out if out.ndim else float(out)
 
 
@@ -149,9 +162,10 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     eta1 = float(_eta_exact(1.0, a_over_W))
     g = math.log(t0**2 / eta1)
     d = k * float(i1e(k)) / eta1
-    if g <= 0 or d <= 0:
+    if not (0 < g < math.inf and 0 < d < math.inf):
         raise QuadratureError(
-            f"degenerate matching conditions G={g:.3e}, D={d:.3e}", achieved=math.nan)
+            f"degenerate matching conditions at a_over_W={a_over_W}: "
+            f"G={g:.3e}, D={d:.3e}", achieved=math.nan)
     lam = d / g
     return WeibullParams(t0=t0, lam=lam, scale=g ** (-1.0 / lam))
 
@@ -253,6 +267,12 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     -------
     ndarray
         n intensity transmittance values in [0, 1].
+
+    Raises
+    ------
+    ArithmeticError
+        If a/W is too large: the exact kernel is nan near r = 1 from about
+        5e4, the Weibull fit from about 1.5e5.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -265,4 +285,4 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     r = np.hypot(x, y)
     if model == "approx":
         return eta_approx(r, weibull_params(geometry.a_over_W))
-    return _eta_exact(r, geometry.a_over_W)
+    return _no_nan(_eta_exact(r, geometry.a_over_W), geometry.a_over_W)

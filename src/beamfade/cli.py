@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,48 +22,25 @@ from .keyrate import (ProtocolParams, holevo_bound, mutual_information,
                       optimize_modulation)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """An aperture-to-beam-ratio sweep and the protocol it is evaluated at."""
-
-    aw_min: float
-    aw_max: float
-    steps: int
-    sigma_b2: tuple
-    protocol: ProtocolParams = field(default_factory=lambda: ProtocolParams(v=7.0))
-    optimize: bool = False
-    model: str = "approx"
-
-    def __post_init__(self):
-        if not (self.aw_min > 0 and math.isfinite(self.aw_min)):
-            raise ValueError(f"aw_min must be > 0, got {self.aw_min}")
-        if not self.aw_max > self.aw_min:
-            raise ValueError("aw_max must exceed aw_min")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if not self.sigma_b2:
-            raise ValueError("need at least one sigma_b2 value")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.aw_min, self.aw_max, self.steps)
-
-
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
 
 
-def _emit(header, rows, out_path):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(header, rows, out_path):
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _write(lines, out_path)
 
 
 def _positive(text):
@@ -133,26 +109,31 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("stats", help="moments of a measured series")
+    p.set_defaults(run=cmd_stats)
     p.add_argument("input", help="transmittance text file")
     p.add_argument("--reference", type=_positive,
                    help="divide raw values by this reference")
     _add_out_flag(p)
 
     p = commands.add_parser("curve", help="channel moments over an a/W sweep")
+    p.set_defaults(run=cmd_curve)
     _add_sweep_flags(p)
     _add_out_flag(p)
 
     p = commands.add_parser("ln-curve", help="log-negativity over an a/W sweep")
+    p.set_defaults(run=cmd_ln_curve)
     _add_sweep_flags(p)
-    p.add_argument("--variance", type=_variance, action="append",
-                   help="state variance in SNU, repeatable (default 7)")
-    p.add_argument("--ln0", type=_non_negative, action="append",
-                   help="initial entanglement instead of variance, repeatable")
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--variance", type=_variance, action="append",
+                       help="state variance in SNU, repeatable (default 7)")
+    state.add_argument("--ln0", type=_non_negative, action="append",
+                       help="initial entanglement instead of variance, repeatable")
     p.add_argument("--excess-noise", type=_non_negative, default=0.01,
                    help="channel excess noise in SNU (default 0.01)")
     _add_out_flag(p)
 
     p = commands.add_parser("kr-curve", help="key-rate bound over an a/W sweep")
+    p.set_defaults(run=cmd_kr_curve)
     _add_sweep_flags(p)
     p.add_argument("--variance", type=_variance, default=7.0,
                    help="modulation state variance in SNU (default 7)")
@@ -167,12 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flag(p)
 
     p = commands.add_parser("fit", help="fit channel parameters to a series")
+    p.set_defaults(run=cmd_fit)
     p.add_argument("input", help="transmittance text file")
     p.add_argument("--reference", type=_positive,
                    help="divide raw values by this reference")
     _add_out_flag(p)
 
     p = commands.add_parser("sample", help="generate synthetic samples")
+    p.set_defaults(run=cmd_sample)
     p.add_argument("--aw", type=_positive, required=True,
                    help="aperture-to-beam ratio")
     p.add_argument("--sigma-b2", type=_non_negative, default=0.3,
@@ -193,12 +176,18 @@ def _read_series(args):
         return parse_series(fh, reference=args.reference, label=args.input)
 
 
-def _sweep_from(args, protocol=None, optimize=False) -> SweepSpec:
-    sigma = tuple(args.sigma_b2) if args.sigma_b2 else (0.3,)
-    return SweepSpec(aw_min=args.aw_min, aw_max=args.aw_max, steps=args.steps,
-                     sigma_b2=sigma,
-                     protocol=protocol or ProtocolParams(v=7.0),
-                     optimize=optimize, model=args.model)
+def _sweep(args):
+    """The moments of every geometry of a sweep, each computed once.
+
+    Returns one (sigma_b2, [(a/W, FadingStats), ...]) block per sigma_b2.
+    """
+    if not args.aw_max > args.aw_min:
+        raise ValueError("aw_max must exceed aw_min")
+    grid = np.linspace(args.aw_min, args.aw_max, args.steps)
+    return [(s2, [(aw, analytic_moments(BeamGeometry(a_over_W=aw, sigma_b2=s2),
+                                        model=args.model))
+                  for aw in grid])
+            for s2 in args.sigma_b2 or (0.3,)]
 
 
 def cmd_stats(args) -> int:
@@ -212,35 +201,24 @@ def cmd_stats(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    spec = _sweep_from(args)
     header = ("a_over_W", "sigma_b2", "eta_mean", "sqrt_eta_mean", "var_sqrt_eta")
-    rows = []
-    for s2 in spec.sigma_b2:
-        for aw in spec.grid:
-            stats = analytic_moments(BeamGeometry(a_over_W=aw, sigma_b2=s2),
-                                     model=spec.model)
-            rows.append((aw, s2, stats.eta_mean, stats.sqrt_eta_mean,
-                         stats.var_sqrt_eta))
+    rows = [(aw, s2, stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta)
+            for s2, block in _sweep(args) for aw, stats in block]
     _emit(header, rows, args.out)
     return 0
 
 
-def cmd_ln_curve(args, parser) -> int:
-    if args.variance and args.ln0:
-        parser.error("--variance and --ln0 are mutually exclusive")
+def cmd_ln_curve(args) -> int:
     if args.ln0:
         # LN0 of a two-mode squeezed state inverts to V = cosh(LN0 ln 2)
         variances = tuple(math.cosh(ln0 * math.log(2.0)) for ln0 in args.ln0)
     else:
         variances = tuple(args.variance) if args.variance else (7.0,)
-    spec = _sweep_from(args)
     header = ("a_over_W", "sigma_b2", "V", "LN")
     rows = []
-    for s2 in spec.sigma_b2:
+    for s2, block in _sweep(args):
         for v in variances:
-            for aw in spec.grid:
-                stats = analytic_moments(BeamGeometry(a_over_W=aw, sigma_b2=s2),
-                                         model=spec.model)
+            for aw, stats in block:
                 cm = apply_fading_channel(tmsv(v), stats, args.excess_noise)
                 rows.append((aw, s2, v, log_negativity(cm)))
     _emit(header, rows, args.out)
@@ -250,31 +228,23 @@ def cmd_ln_curve(args, parser) -> int:
 def cmd_kr_curve(args) -> int:
     protocol = ProtocolParams(v=args.variance, epsilon=args.excess_noise,
                               beta=args.beta)
-    spec = _sweep_from(args, protocol=protocol, optimize=args.optimize)
     header = ["a_over_W", "sigma_b2", "V_used", "I_AB", "chi_BE", "KR"]
     if not args.clamp:
         header.append("KR_clamped")
     rows = []
-    for s2 in spec.sigma_b2:
-        for aw in spec.grid:
-            stats = analytic_moments(BeamGeometry(a_over_W=aw, sigma_b2=s2),
-                                     model=spec.model)
-            if spec.optimize:
+    for s2, block in _sweep(args):
+        for aw, stats in block:
+            used = protocol
+            if args.optimize:
                 found = optimize_modulation(stats, protocol.epsilon, protocol.beta)
                 used = ProtocolParams(v=found.v_opt, epsilon=protocol.epsilon,
                                       beta=protocol.beta)
-            else:
-                used = protocol
             i_ab = mutual_information(used, stats)
             chi = holevo_bound(used, stats)
             kr = used.beta * i_ab - chi
-            row = [aw, s2, used.v, i_ab, chi, kr]
-            if args.clamp:
-                row[-1] = max(0.0, kr)
-            else:
-                row.append(max(0.0, kr))
-            rows.append(tuple(row))
-    _emit(tuple(header), rows, args.out)
+            tail = (max(0.0, kr),) if args.clamp else (kr, max(0.0, kr))
+            rows.append((aw, s2, used.v, i_ab, chi, *tail))
+    _emit(header, rows, args.out)
     return 0
 
 
@@ -299,39 +269,20 @@ def cmd_sample(args) -> int:
              f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
              f"seed={args.seed} model={args.model}"]
     lines.extend(f"{value:.17g}" for value in eta)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(lines, args.out)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "stats":
-            return cmd_stats(args)
-        if args.command == "curve":
-            return cmd_curve(args)
-        if args.command == "ln-curve":
-            return cmd_ln_curve(args, parser)
-        if args.command == "kr-curve":
-            return cmd_kr_curve(args)
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "sample":
-            return cmd_sample(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except (SeriesFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def entry_point():

@@ -28,9 +28,9 @@ _OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 class CovMat2:
     """Two-mode covariance matrix in block form, validated on construction.
 
-    Raises ValueError if the assembled 4x4 matrix is not symmetric or
-    violates the uncertainty relation (a symplectic eigenvalue below
-    1 - 1e-9).
+    Raises ValueError if the assembled 4x4 matrix has a non-finite entry, is
+    not symmetric or violates the uncertainty relation (a symplectic
+    eigenvalue below 1 - 1e-9).
     """
 
     a: np.ndarray
@@ -43,13 +43,18 @@ class CovMat2:
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
             object.__setattr__(self, name, m)
+        full = self.matrix
+        if not np.isfinite(full).all():
+            name, m = next((n, m) for n, m in zip("abc", (self.a, self.b, self.c))
+                           if not np.isfinite(m).all())
+            raise ValueError(f"block {name} must be finite, got {m.tolist()}")
         if not (np.allclose(self.a, self.a.T, atol=1e-10)
                 and np.allclose(self.b, self.b.T, atol=1e-10)):
             raise ValueError("mode blocks must be symmetric")
         # uncertainty relation gamma + i Omega >= 0, checked on the Hermitian
         # form: eigvalsh keeps O(eps) accuracy where the nu formula loses
         # half its digits near pure states
-        herm = self.matrix + 1j * _OMEGA
+        herm = full + 1j * _OMEGA
         lo = float(np.linalg.eigvalsh(herm)[0])
         if lo < -_EIG_TOL:
             raise ValueError(f"unphysical covariance matrix: gamma + i Omega "

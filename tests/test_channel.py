@@ -214,6 +214,10 @@ class TestWeibullParams:
             WeibullParams(t0=0.9, lam=-1.0, scale=1.0)
         with pytest.raises(ValueError):
             WeibullParams(t0=0.9, lam=2.0, scale=0.0)
+        with pytest.raises(ValueError):
+            WeibullParams(t0=1.0, lam=math.nan, scale=math.nan)
+        with pytest.raises(ValueError):
+            WeibullParams(t0=0.9, lam=math.inf, scale=1.0)
 
 
 class TestEtaApprox:
@@ -356,6 +360,30 @@ class TestSampler:
             sample_transmittance(geom, seed=1, n=0)
         with pytest.raises(ValueError):
             sample_transmittance(geom, seed=1, n=10, model="other")
+
+
+class TestRatioBeyondKernel:
+    # from a/W ~ 5e4 on, chndtr is nan in a band of offsets around r = 1;
+    # by 1.5e5 the rim value itself is nan
+
+    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    def test_weibull_params_raise(self, aw):
+        with pytest.raises(ArithmeticError, match="a_over_W"):
+            weibull_params(aw)
+
+    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    def test_exact_eta_at_rim_raises(self, aw):
+        with pytest.raises(ArithmeticError, match="a_over_W"):
+            exact_eta_at_offset(1.0, aw)
+        with pytest.raises(ArithmeticError, match="a_over_W"):
+            exact_eta_at_offset(np.array([0.5, 1.0, 2.0]), aw)
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    def test_sampler_raises(self, aw, model):
+        # 200000 offsets with sigma_b2 = 1 put some samples in the nan band
+        with pytest.raises(ArithmeticError, match="a_over_W"):
+            sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model=model)
 
 
 class TestBeamGeometry:

@@ -1,8 +1,12 @@
 """End-to-end command-line checks, run in process through main()."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamfade.channel import BeamGeometry, exact_eta_at_offset
 from beamfade.cli import main
@@ -89,6 +93,18 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
 
+    def test_reversed_sweep_is_computation_error(self, capsys):
+        code, out, err = run(capsys, "curve", "--aw-min", "2", "--aw-max", "1")
+        assert code == 1
+        assert out == ""
+        assert "aw_max must exceed aw_min" in err
+
+    def test_ratio_beyond_kernel_is_computation_error(self, capsys):
+        code, out, err = run(capsys, "sample", "--aw", "1e6", "--samples", "3")
+        assert code == 1
+        assert out == ""
+        assert "a_over_W" in err
+
 
 class TestCurve:
 
@@ -140,6 +156,27 @@ class TestLnCurve:
             stats = analytic_moments(BeamGeometry(float(aw_text), 0.3))
             want = log_negativity(apply_fading_channel(tmsv(7.0), stats, 0.01))
             assert float(row[3]) == pytest.approx(want, rel=1e-11)
+
+    def test_moments_computed_once_per_geometry(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(geometry, model="approx"):
+            calls.append((geometry, model))
+            return analytic_moments(geometry, model=model)
+
+        monkeypatch.setattr("beamfade.cli.analytic_moments", counted)
+        code, out, _ = run(capsys, "ln-curve", "--steps", "4",
+                           "--sigma-b2", "0.2", "--sigma-b2", "0.4",
+                           "--variance", "2", "--variance", "7",
+                           "--variance", "12")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert len(rows) == 2 * 3 * 4
+        assert len(calls) == 2 * 4
+        assert len(set(calls)) == len(calls)
+        # rows run over sigma_b2, then V, then a/W
+        assert [(r[1], r[2]) for r in rows[::4]] == [
+            (s2, v) for s2 in ("0.2", "0.4") for v in ("2", "7", "12")]
 
     def test_lossless_channel_preserves_requested_ln(self, capsys):
         # wide aperture, no wandering, no excess noise: entanglement
@@ -265,3 +302,60 @@ class TestPipeline:
         assert header == ["sigma_b2", "a_over_W", "gof", "n"]
         assert float(rows[0][0]) == pytest.approx(0.3, rel=0.05)
         assert float(rows[0][1]) == pytest.approx(1.0, rel=0.05)
+
+
+# values every numeric flag is fuzzed with: finite floats (half of them in
+# the range the commands accept), integers, the IEEE specials, the edges of
+# the double range and text that is no number at all
+FLAG_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-10, max_value=100).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+                     "-1e-300", "0", "-0", "", "abc", "1,5", "0x10", "1e999"]),
+)
+SWEEP_FLAGS = ("--aw-min", "--aw-max", "--sigma-b2")
+FLAGS = {
+    "curve": SWEEP_FLAGS,
+    "ln-curve": SWEEP_FLAGS + ("--variance", "--ln0", "--excess-noise"),
+    "kr-curve": SWEEP_FLAGS + ("--variance", "--excess-noise", "--beta"),
+    "sample": ("--aw", "--sigma-b2", "--seed"),
+}
+SWITCHES = {
+    "curve": ("--model=exact",),
+    "ln-curve": ("--model=exact",),
+    "kr-curve": ("--model=exact", "--optimize", "--clamp"),
+    "sample": ("--model=exact",),
+}
+# every example sets its size, from a small range, so that it runs quickly
+SIZES = st.integers(min_value=-3, max_value=6)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=4)):
+        argv.append(f"{flag}={draw(FLAG_VALUES)}")
+    argv += draw(st.lists(st.sampled_from(SWITCHES[command]), max_size=2, unique=True))
+    size_flag = "--samples" if command == "sample" else "--steps"
+    argv.append(f"{size_flag}={draw(SIZES)}")
+    return argv
+
+
+class TestFuzzedArguments:
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(argv=fuzzed_argv())
+    @example(argv=["sample", "--aw", "1e6", "--samples", "3"])
+    def test_exit_status_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert "nan" not in out.getvalue()

@@ -59,6 +59,13 @@ class TestCovMat2:
         with pytest.raises(ValueError):
             CovMat2(a=bad, b=np.eye(2))
 
+    @pytest.mark.parametrize("block", ["a", "b", "c"])
+    def test_rejects_non_finite_block(self, block):
+        blocks = {"a": 2.0 * np.eye(2), "b": 2.0 * np.eye(2), "c": np.zeros((2, 2))}
+        blocks[block][0, 1] = math.nan
+        with pytest.raises(ValueError, match=f"block {block} must be finite"):
+            CovMat2(**blocks)
+
     def test_rejects_sub_vacuum_state(self):
         with pytest.raises(ValueError, match="unphysical"):
             CovMat2(a=0.5 * np.eye(2), b=np.eye(2))
