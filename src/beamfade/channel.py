@@ -162,7 +162,9 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     eta1 = float(_eta_exact(1.0, a_over_W))
     g = math.log(t0**2 / eta1)
     d = k * float(i1e(k)) / eta1
-    if not (0 < g < math.inf and 0 < d < math.inf):
+    # G ~ 2 (a/W)^2 carries a relative error of about eps / G, so below 1e-12
+    # (a/W ~ 7e-7) lam drifts from 2 and G**(-1/lam) overflows
+    if not (1e-12 <= g < math.inf and 0 < d < math.inf):
         raise QuadratureError(
             f"degenerate matching conditions at a_over_W={a_over_W}: "
             f"G={g:.3e}, D={d:.3e}", achieved=math.nan)
@@ -173,7 +175,10 @@ def weibull_params(a_over_W: float) -> WeibullParams:
 def eta_approx(r, params: WeibullParams):
     """Weibull-form transmittance t0^2 * exp(-(r/scale)**lam) at offset r."""
     r = np.asarray(r, dtype=float)
-    out = params.t0**2 * np.exp(-((r / params.scale) ** params.lam))
+    # at large lam, (r/scale)**lam overflows to inf beyond the rim, where
+    # exp(-inf) = 0 is the right transmittance
+    with np.errstate(over="ignore"):
+        out = params.t0**2 * np.exp(-((r / params.scale) ** params.lam))
     return out if out.ndim else float(out)
 
 

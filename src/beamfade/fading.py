@@ -102,10 +102,15 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
 
     moments = []
     for n in (1, 2):
-        val, err = quad(lambda u: math.exp(-u) * t_of_u(u, n), 0.0, np.inf,
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
-        if err > MOMENT_ABS_TOL:
-            raise QuadratureError(f"moment <T^{n}> did not converge", achieved=err)
+        # at large lam the Weibull exponent overflows to inf far beyond the
+        # rim, where exp(-inf) = 0 is the right value
+        with np.errstate(over="ignore"):
+            val, err = quad(lambda u: math.exp(-u) * t_of_u(u, n), 0.0, np.inf,
+                            epsabs=1e-12, epsrel=1e-12, limit=200)
+        # quad reports a nan error estimate for a nan integrand
+        if not err <= MOMENT_ABS_TOL:
+            raise QuadratureError(f"moment <T^{n}> did not converge at "
+                                  f"a_over_W={geometry.a_over_W}", achieved=err)
         moments.append(val)
     mean_t, mean_t2 = moments
     return FadingStats(eta_mean=mean_t2, sqrt_eta_mean=mean_t,

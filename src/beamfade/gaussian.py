@@ -22,6 +22,8 @@ _EIG_TOL = 1e-9
 
 # symplectic form for (x1, p1, x2, p2) quadrature ordering
 _OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+# P gamma P for P = diag(1, 1, 1, -1), applied elementwise as an outer product
+_FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ class CovMat2:
                 and np.allclose(self.b, self.b.T, atol=1e-10)):
             raise ValueError("mode blocks must be symmetric")
         # uncertainty relation gamma + i Omega >= 0, checked on the Hermitian
-        # form: eigvalsh keeps O(eps) accuracy where the nu formula loses
-        # half its digits near pure states
+        # form, where eigvalsh keeps O(eps) accuracy
         herm = full + 1j * _OMEGA
         lo = float(np.linalg.eigvalsh(herm)[0])
         if lo < -_EIG_TOL:
@@ -107,68 +108,28 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     return CovMat2(a=cm.a.copy(), b=b_out, c=c_out)
 
 
-def _invariants(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[float, float, float, float]:
-    det_a = float(np.linalg.det(a))
-    det_b = float(np.linalg.det(b))
-    det_c = float(np.linalg.det(c))
-    det_full = float(np.linalg.det(np.block([[a, c], [c.T, b]])))
-    return det_a, det_b, det_c, det_full
-
-
-def _nu_from_invariants(delta: float, det_full: float,
-                        noise_floor: float = 1e-12) -> tuple[float, float]:
-    disc = delta**2 - 4.0 * det_full
-    if disc < -noise_floor:
-        raise ArithmeticError(f"negative symplectic discriminant {disc}")
-    root = math.sqrt(max(disc, 0.0))
-    nu2_plus = (delta + root) / 2.0
-    # (delta - root)/2 cancels badly when root ~ delta (strong squeezing);
-    # the rationalized form 2 det / (delta + root) is exact algebra
-    if nu2_plus > 0.0:
-        nu2_minus = det_full / nu2_plus
-    else:
-        nu2_minus = (delta - root) / 2.0
-    if nu2_minus < -noise_floor:
-        raise ArithmeticError(f"negative squared symplectic eigenvalue {nu2_minus}")
-    return math.sqrt(max(nu2_plus, 0.0)), math.sqrt(max(nu2_minus, 0.0))
+def _spectrum(matrix: np.ndarray) -> tuple[float, float]:
+    # a physical gamma is positive definite, and gamma = L L^T makes
+    # i L^T Omega L Hermitian and similar to i Omega gamma, whose eigenvalues
+    # are +-nu1, +-nu2; eigvalsh keeps O(eps) accuracy near pure states, where
+    # the determinant invariants lose half their digits
+    low = np.linalg.cholesky(matrix)
+    vals = np.linalg.eigvalsh(1j * (low.T @ _OMEGA @ low))
+    return float(vals[3]), float(vals[2])
 
 
 def symplectic_eigs(cm: CovMat2) -> tuple[float, float]:
-    """Symplectic eigenvalues (nu1 >= nu2) from the two-mode invariants.
-
-    nu^2 are the roots of nu^4 - Delta nu^2 + det(gamma) = 0 with
-    Delta = det A + det B + 2 det C.
-    """
-    det_a, det_b, det_c, det_full = _invariants(cm.a, cm.b, cm.c)
-    # determinant roundoff scales with the entry magnitude, so widen the
-    # discriminant noise floor accordingly
-    scale = max(1.0, float(np.max(np.abs(cm.matrix))))
-    eps = float(np.finfo(float).eps)
-    floor = max(1e-12, 256.0 * eps * scale**2)
-    nu1, nu2 = _nu_from_invariants(det_a + det_b + 2.0 * det_c, det_full,
-                                   noise_floor=floor)
-    # the discriminant root loses half its digits when the spectrum is
-    # degenerate at 1 (pure states); construction already guaranteed
-    # physicality, so anything that close to 1 on either side is noise
-    tol = max(_EIG_TOL, 8.0 * math.sqrt(eps) * scale)
-    nu1 = 1.0 if abs(nu1 - 1.0) < tol else nu1
-    nu2 = 1.0 if abs(nu2 - 1.0) < tol else nu2
-    return nu1, nu2
+    """Symplectic eigenvalues (nu1 >= nu2), the positive eigenvalues of i Omega gamma."""
+    return _spectrum(cm.matrix)
 
 
 def log_negativity(cm: CovMat2) -> float:
     """Logarithmic negativity max{0, -log2 nu~} of a two-mode state.
 
     nu~ is the smallest symplectic eigenvalue of the partially transposed
-    state; the partial transpose flips the sign of det C.
+    state P gamma P, P = diag(1, 1, 1, -1), which flips the sign of p2.
     """
-    det_a, det_b, det_c, det_full = _invariants(cm.a, cm.b, cm.c)
-    scale = max(1.0, float(np.max(np.abs(cm.matrix))))
-    floor = max(1e-12, 256.0 * float(np.finfo(float).eps) * scale**2)
-    _, nu_tilde = _nu_from_invariants(det_a + det_b - 2.0 * det_c, det_full,
-                                      noise_floor=floor)
-    if nu_tilde <= 0.0:
-        raise ArithmeticError("vanishing symplectic eigenvalue after partial transpose")
+    _, nu_tilde = _spectrum(cm.matrix * _FLIP)
     return max(0.0, -math.log2(nu_tilde))
 
 

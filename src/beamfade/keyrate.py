@@ -31,6 +31,7 @@ from .gaussian import (
 
 V_SEARCH_MAX = 1e3
 V_SEARCH_MIN = 1.0 + 1e-6
+V_GRID_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -115,22 +116,23 @@ class ModulationOptimum:
     all_negative: bool = False
 
 
-def optimize_modulation(stats: FadingStats, epsilon: float, beta: float,
-                        grid_points: int = 64) -> ModulationOptimum:
+def optimize_modulation(stats: FadingStats, epsilon: float,
+                        beta: float) -> ModulationOptimum:
     """Maximize the key rate over the state variance V.
 
-    Coarse log-spaced scan over [1 + 1e-6, 1e3] followed by golden-section
-    refinement of the bracketing interval down to |dV|/V < 1e-4.
+    Coarse scan of V_GRID_POINTS log-spaced values over [1 + 1e-6, 1e3]
+    followed by golden-section refinement of the bracketing interval down to
+    |dV|/V < 1e-4.
     Deterministic: identical inputs give identical results.
     """
     def rate(v: float) -> float:
         return key_rate(ProtocolParams(v=v, epsilon=epsilon, beta=beta), stats)
 
-    grid = np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, grid_points)
+    grid = np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, V_GRID_POINTS)
     rates = np.array([rate(v) for v in grid])
     best = int(np.argmax(rates))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
+    hi = grid[min(best + 1, V_GRID_POINTS - 1)]
 
     # golden-section maximization on [lo, hi]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -153,5 +155,5 @@ def optimize_modulation(stats: FadingStats, epsilon: float, beta: float,
         v_opt, kr_opt = float(grid[best]), float(rates[best])
     return ModulationOptimum(
         v_opt=float(v_opt), kr_opt=float(kr_opt),
-        at_cap=best == grid_points - 1,
+        at_cap=best == V_GRID_POINTS - 1,
         all_negative=kr_opt < 0.0)

@@ -1,10 +1,13 @@
 """Independent reference computations the tests compare against.
 
 Each oracle deliberately takes a different route than the library: plain
-grid integration instead of adaptive quadrature, dense linear algebra
-instead of closed-form invariants, scalar arithmetic instead of matrix
-conditioning, published closed forms instead of numerical matching.
-Agreement is then evidence, not tautology.
+grid integration instead of adaptive quadrature, scalar arithmetic instead of
+matrix conditioning, published closed forms instead of numerical matching.
+For symplectic spectra the library factors gamma = L L^T and runs the
+Hermitian eigensolver on i L^T Omega L; `symplectic_eigs_iomega` runs the
+general (non-Hermitian) eigensolver on i Omega gamma itself, and
+`holevo_scalar` takes the closed-form determinant invariants.  Agreement is
+then evidence, not tautology.
 
 One exception: the exact branches of `eta_of_offset` and `fading_moments`
 use `scipy.stats.ncx2.cdf`, which (scipy 1.17) evaluates
@@ -141,12 +144,11 @@ def fading_moments(a_over_W, sigma_b2, model="approx"):
     return trapezoid(density * eta), trapezoid(density * np.sqrt(eta))
 
 
-def log_negativity_dense(v, epsilon, eta_mean, sqrt_eta_mean):
-    """LN of the faded TMSV from the dense spectrum of its partial transpose.
+def faded_tmsv_dense(v, epsilon, eta_mean, sqrt_eta_mean):
+    """The faded TMSV assembled entry by entry, with its blocks b and c.
 
-    The 4x4 matrix is assembled entry by entry; the partial transpose flips
-    the sign of p2, and the smallest symplectic eigenvalue then comes from
-    i Omega gamma, with no invariant formula.
+    A = v I, B = b I, C = c diag(1, -1), with b and c written out from the
+    moments instead of taken from the library's channel map.
     """
     b = 1.0 + eta_mean * (v - 1.0) + sqrt_eta_mean**2 * epsilon
     c = sqrt_eta_mean * math.sqrt(v * v - 1.0)
@@ -154,9 +156,30 @@ def log_negativity_dense(v, epsilon, eta_mean, sqrt_eta_mean):
                       [0.0, v, 0.0, -c],
                       [c, 0.0, b, 0.0],
                       [0.0, -c, 0.0, b]])
+    return gamma, b, c
+
+
+def log_negativity_dense(v, epsilon, eta_mean, sqrt_eta_mean):
+    """LN of the faded TMSV from the dense spectrum of its partial transpose.
+
+    The partial transpose flips the sign of p2, and the smallest symplectic
+    eigenvalue then comes from the general eigensolver on i Omega gamma.
+    """
+    gamma, _, _ = faded_tmsv_dense(v, epsilon, eta_mean, sqrt_eta_mean)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     _, nu_min = symplectic_eigs_iomega(flip @ gamma @ flip)
     return max(0.0, -math.log2(nu_min))
+
+
+def holevo_dense(v, epsilon, eta_mean, sqrt_eta_mean):
+    """Holevo bound of the faded TMSV from the dense i Omega gamma spectrum.
+
+    An x homodyne of mode 2 leaves mode 1 in diag(v - c^2 / b, v), whose
+    symplectic eigenvalue is the scalar sqrt(v (v - c^2 / b)).
+    """
+    gamma, b, c = faded_tmsv_dense(v, epsilon, eta_mean, sqrt_eta_mean)
+    nu1, nu2 = symplectic_eigs_iomega(gamma)
+    return _g(nu1) + _g(nu2) - _g(math.sqrt(v * (v - c * c / b)))
 
 
 def key_rate_scalar(v, epsilon, beta, eta_mean, sqrt_eta_mean):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from beamfade.channel import (
     BeamGeometry,
+    QuadratureError,
     WeibullParams,
     eta_approx,
     exact_eta_at_offset,
@@ -207,6 +208,14 @@ class TestWeibullParams:
             worst = max(worst, abs(float(eta_approx(r, params)) - exact) / exact)
         assert worst <= 0.25
 
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("aw", [3e-8, 1.0115794542599003e-09])
+    def test_degenerate_matching_raises(self, aw, cast):
+        # G ~ 2 (a/W)^2 has lost its digits here (lam = 1.80 at 3e-8), and
+        # at 1.0115794542599003e-09 G**(-1/lam) overflows
+        with pytest.raises(QuadratureError, match="a_over_W"):
+            weibull_params(cast(aw))
+
     def test_rejects_invalid_fields(self):
         with pytest.raises(ValueError):
             WeibullParams(t0=1.2, lam=2.0, scale=1.0)
@@ -230,6 +239,11 @@ class TestEtaApprox:
         params = weibull_params(1.5)
         vals = eta_approx(np.linspace(0.0, 5.0, 101), params)
         assert np.all(vals >= 0.0) and np.all(vals <= params.t0**2)
+
+    def test_vanishes_beyond_rim_at_large_ratio(self):
+        # lam ~ 1.15e5 at a/W = 5e4, so (r/scale)**lam overflows at r = 2
+        params = weibull_params(5e4)
+        assert eta_approx(np.array([0.5, 2.0]), params).tolist() == [params.t0**2, 0.0]
 
 
 class TestPdtDensity:

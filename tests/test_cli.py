@@ -105,6 +105,14 @@ class TestExitCodes:
         assert out == ""
         assert "a_over_W" in err
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_moment_beyond_kernel_is_computation_error(self, capsys):
+        code, out, err = run(capsys, "curve", "--model", "exact", "--aw-min", "1e5",
+                             "--aw-max", "2e5", "--steps", "2")
+        assert code == 1
+        assert out == ""
+        assert "a_over_W" in err
+
 
 class TestCurve:
 
@@ -270,6 +278,14 @@ class TestSample:
         assert len(lines) == 6
         for line in lines[1:]:
             assert float(line) == pytest.approx(eta_max, rel=1e-12)
+
+    def test_large_ratio_is_quiet(self, capsys):
+        # the Weibull exponent overflows beyond the rim; the sample there is 0
+        code, out, err = run(capsys, "sample", "--aw", "5e4", "--sigma-b2", "1",
+                             "--samples", "1000")
+        assert code == 0
+        assert err == ""
+        assert "nan" not in out
 
     def test_out_file(self, tmp_path, capsys):
         dst = tmp_path / "samples.txt"

@@ -7,6 +7,7 @@ import pytest
 
 from beamfade.channel import (
     BeamGeometry,
+    QuadratureError,
     max_transmission_coefficient,
     pdt_cdf,
     pdt_density,
@@ -136,6 +137,13 @@ class TestAnalyticMoments:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             analytic_moments(REF_GEOMETRY, model="weibull")
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_kernel_names_ratio(self):
+        # from a/W ~ 5e4 on the exact kernel is nan near the rim, and quad
+        # then reports a nan error estimate
+        with pytest.raises(QuadratureError, match="a_over_W"):
+            analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
 
 
 class TestLargeApertureRatio:

@@ -18,6 +18,7 @@ from beamfade.gaussian import (
     tmsv,
     von_neumann_entropy,
 )
+from beamfade.keyrate import V_GRID_POINTS, V_SEARCH_MAX, V_SEARCH_MIN
 
 from oracles import symplectic_eigs_iomega
 
@@ -132,6 +133,16 @@ class TestSymplecticEigs:
         ref1, ref2 = symplectic_eigs_iomega(cm.matrix)
         assert nu1 == pytest.approx(ref1, abs=1e-9)
         assert nu2 == pytest.approx(ref2, abs=1e-9)
+
+    def test_matrix_oracle_on_faded_tmsv_grid(self):
+        # the optimizer's V grid starts at 1 + 1e-6, where the faded state is
+        # nearly pure (nu2 - 1 < 1e-6)
+        for stats in STATS_GRID:
+            for v in np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, V_GRID_POINTS):
+                for eps in (0.0, 0.01, 0.1):
+                    cm = apply_fading_channel(tmsv(float(v)), stats, eps)
+                    assert symplectic_eigs(cm) == pytest.approx(
+                        symplectic_eigs_iomega(cm.matrix), abs=1e-10), (v, eps)
 
     def test_ordering(self):
         rng = np.random.default_rng(3)

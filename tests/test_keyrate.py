@@ -8,6 +8,7 @@ import pytest
 from beamfade.channel import BeamGeometry
 from beamfade.fading import FadingStats, analytic_moments
 from beamfade.keyrate import (
+    V_GRID_POINTS,
     V_SEARCH_MAX,
     V_SEARCH_MIN,
     ProtocolParams,
@@ -17,10 +18,13 @@ from beamfade.keyrate import (
     optimize_modulation,
 )
 
-from oracles import holevo_scalar
+from oracles import holevo_dense, holevo_scalar
 
 REF_STATS = analytic_moments(BeamGeometry(1.0, 0.3))
 REF_PARAMS = ProtocolParams(v=7.0, epsilon=0.01, beta=0.97)
+
+STATS_GRID = [analytic_moments(BeamGeometry(aw, s2))
+              for aw in (0.5, 1.0, 2.0) for s2 in (0.1, 0.3)]
 
 LOSSLESS = FadingStats(eta_mean=1.0, sqrt_eta_mean=1.0, var_sqrt_eta=0.0,
                        eta_max=1.0)
@@ -105,6 +109,18 @@ class TestHolevoBound:
         p = ProtocolParams(v=v, epsilon=0.01)
         ref = holevo_scalar(v, p.epsilon, stats.eta_mean, stats.sqrt_eta_mean)
         assert holevo_bound(p, stats) == pytest.approx(ref, abs=1e-9)
+
+    def test_dense_route_oracle_on_optimizer_grid(self):
+        # near V = 1 the faded state is nearly pure; the dense spectrum keeps
+        # its digits there
+        for stats in STATS_GRID:
+            for v in np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, V_GRID_POINTS):
+                for eps in (0.0, 0.01, 0.1):
+                    p = ProtocolParams(v=float(v), epsilon=eps)
+                    ref = holevo_dense(p.v, eps, stats.eta_mean,
+                                       stats.sqrt_eta_mean)
+                    assert holevo_bound(p, stats) == pytest.approx(
+                        ref, abs=1e-10), (v, eps)
 
     def test_more_noise_leaks_more(self):
         vals = [holevo_bound(ProtocolParams(v=7.0, epsilon=e), REF_STATS)
