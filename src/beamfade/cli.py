@@ -16,10 +16,8 @@ import numpy as np
 
 from .channel import BeamGeometry, sample_transmittance
 from .fading import analytic_moments, empirical_moments
-from .gaussian import apply_fading_channel, log_negativity, tmsv
 from .ingest import SeriesFormatError, fit_geometry, parse_series
-from .keyrate import (ProtocolParams, holevo_bound, mutual_information,
-                      optimize_modulation)
+from .keyrate import _log_negativity, _optimize, _rates
 
 
 def _fmt(x) -> str:
@@ -190,6 +188,13 @@ def _sweep(args):
             for s2 in args.sigma_b2 or (0.3,)]
 
 
+def _columns(block):
+    """a/W, <eta> and <sqrt(eta)> of a sweep block, as arrays for the kernels."""
+    return (np.array([aw for aw, _ in block]),
+            np.array([stats.eta_mean for _, stats in block]),
+            np.array([stats.sqrt_eta_mean for _, stats in block]))
+
+
 def cmd_stats(args) -> int:
     series = _read_series(args)
     stats = empirical_moments(series.samples)
@@ -217,33 +222,29 @@ def cmd_ln_curve(args) -> int:
     header = ("a_over_W", "sigma_b2", "V", "LN")
     rows = []
     for s2, block in _sweep(args):
+        aw, eta_mean, sqrt_eta_mean = _columns(block)
         for v in variances:
-            for aw, stats in block:
-                cm = apply_fading_channel(tmsv(v), stats, args.excess_noise)
-                rows.append((aw, s2, v, log_negativity(cm)))
+            ln = _log_negativity(v, eta_mean, sqrt_eta_mean, args.excess_noise)
+            rows.extend((a, s2, v, x) for a, x in zip(aw, ln))
     _emit(header, rows, args.out)
     return 0
 
 
 def cmd_kr_curve(args) -> int:
-    protocol = ProtocolParams(v=args.variance, epsilon=args.excess_noise,
-                              beta=args.beta)
     header = ["a_over_W", "sigma_b2", "V_used", "I_AB", "chi_BE", "KR"]
     if not args.clamp:
         header.append("KR_clamped")
     rows = []
     for s2, block in _sweep(args):
-        for aw, stats in block:
-            used = protocol
-            if args.optimize:
-                found = optimize_modulation(stats, protocol.epsilon, protocol.beta)
-                used = ProtocolParams(v=found.v_opt, epsilon=protocol.epsilon,
-                                      beta=protocol.beta)
-            i_ab = mutual_information(used, stats)
-            chi = holevo_bound(used, stats)
-            kr = used.beta * i_ab - chi
-            tail = (max(0.0, kr),) if args.clamp else (kr, max(0.0, kr))
-            rows.append((aw, s2, used.v, i_ab, chi, *tail))
+        aw, eta_mean, sqrt_eta_mean = _columns(block)
+        v = np.full(aw.shape, args.variance)
+        if args.optimize:
+            v = _optimize(eta_mean, sqrt_eta_mean, args.excess_noise, args.beta)[0]
+        i_ab, chi, kr = _rates(v, eta_mean, sqrt_eta_mean, args.excess_noise,
+                               args.beta)
+        for a, v_used, i, x, k in zip(aw, v, i_ab, chi, kr):
+            tail = (max(0.0, k),) if args.clamp else (k, max(0.0, k))
+            rows.append((a, s2, v_used, i, x, *tail))
     _emit(header, rows, args.out)
     return 0
 

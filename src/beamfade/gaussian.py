@@ -22,7 +22,7 @@ _EIG_TOL = 1e-9
 
 # symplectic form for (x1, p1, x2, p2) quadrature ordering
 _OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-# P gamma P for P = diag(1, 1, 1, -1), applied elementwise as an outer product
+# P M P for P = diag(1, 1, 1, -1), applied elementwise as an outer product
 _FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
@@ -31,13 +31,15 @@ class CovMat2:
     """Two-mode covariance matrix in block form, validated on construction.
 
     Raises ValueError if the assembled 4x4 matrix has a non-finite entry, is
-    not symmetric or violates the uncertainty relation (a symplectic
-    eigenvalue below 1 - 1e-9).
+    not symmetric, violates the uncertainty relation (a symplectic
+    eigenvalue below 1 - 1e-9) or is not numerically positive definite.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+    # Cholesky factor of the full matrix, which every spectrum starts from
+    _low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -60,6 +62,14 @@ class CovMat2:
         if lo < -_EIG_TOL:
             raise ValueError(f"unphysical covariance matrix: gamma + i Omega "
                              f"has eigenvalue {lo} < 0")
+        # the uncertainty relation makes gamma positive definite, but a
+        # near-pure state at large variance can lose that to rounding
+        try:
+            object.__setattr__(self, "_low", np.linalg.cholesky(full))
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance matrix is not numerically positive "
+                             "definite (a nearly pure state beyond double "
+                             "precision)") from None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -108,28 +118,28 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     return CovMat2(a=cm.a.copy(), b=b_out, c=c_out)
 
 
-def _spectrum(matrix: np.ndarray) -> tuple[float, float]:
-    # a physical gamma is positive definite, and gamma = L L^T makes
-    # i L^T Omega L Hermitian and similar to i Omega gamma, whose eigenvalues
-    # are +-nu1, +-nu2; eigvalsh keeps O(eps) accuracy near pure states, where
-    # the determinant invariants lose half their digits
-    low = np.linalg.cholesky(matrix)
+def _spectrum(low: np.ndarray) -> tuple[float, float]:
+    # gamma = L L^T makes i L^T Omega L Hermitian and similar to i Omega
+    # gamma, whose eigenvalues are +-nu1, +-nu2; eigvalsh keeps O(eps)
+    # accuracy near pure states, where the determinant invariants lose half
+    # their digits
     vals = np.linalg.eigvalsh(1j * (low.T @ _OMEGA @ low))
     return float(vals[3]), float(vals[2])
 
 
 def symplectic_eigs(cm: CovMat2) -> tuple[float, float]:
     """Symplectic eigenvalues (nu1 >= nu2), the positive eigenvalues of i Omega gamma."""
-    return _spectrum(cm.matrix)
+    return _spectrum(cm._low)
 
 
 def log_negativity(cm: CovMat2) -> float:
     """Logarithmic negativity max{0, -log2 nu~} of a two-mode state.
 
     nu~ is the smallest symplectic eigenvalue of the partially transposed
-    state P gamma P, P = diag(1, 1, 1, -1), which flips the sign of p2.
+    state P gamma P, P = diag(1, 1, 1, -1), which flips the sign of p2; its
+    Cholesky factor is P L P.
     """
-    _, nu_tilde = _spectrum(cm.matrix * _FLIP)
+    _, nu_tilde = _spectrum(cm._low * _FLIP)
     return max(0.0, -math.log2(nu_tilde))
 
 

@@ -11,6 +11,9 @@ variance V - 1 on the other arm.  The asymptotic rate is
 with I_AB the Shannon mutual information of the trusted parties, chi_BE the
 Holevo bound on the eavesdropper's information about the receiver's data and
 beta the post-processing efficiency.
+
+All of it is computed by array kernels over the closed-form invariants of the
+faded state; the scalar functions below wrap them for one point.
 """
 
 from __future__ import annotations
@@ -20,18 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import FadingStats, effective_channel
-from .gaussian import (
-    apply_fading_channel,
-    condition_on_homodyne,
-    entropy_g,
-    tmsv,
-    von_neumann_entropy,
-)
+from .fading import FadingStats
 
 V_SEARCH_MAX = 1e3
 V_SEARCH_MIN = 1.0 + 1e-6
 V_GRID_POINTS = 64
+
+_LN2 = math.log(2.0)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _check_noise_and_efficiency(epsilon, beta):
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(
+            f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +64,83 @@ class ProtocolParams:
         if not (math.isfinite(self.v) and self.v >= 1.0):
             raise ValueError(
                 f"v (state variance) must be finite and >= 1 SNU, got {self.v}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(
-                f"epsilon (excess noise) must be finite and >= 0, got {self.epsilon}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_noise_and_efficiency(self.epsilon, self.beta)
+
+
+def _entropy(nu):
+    """g(nu) in bits, elementwise, as log2(1 + x) + x log2(1 + 1/x).
+
+    x = (nu - 1)/2; both terms are non-negative, so large nu loses no digits,
+    and nu <= 1 (a pure mode, up to rounding) gives 0.
+    """
+    x = np.maximum(nu - 1.0, 0.0) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(x > 0.0, x * np.log1p(1.0 / x), 0.0)
+    return (np.log1p(x) + tail) / _LN2
+
+
+def _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon):
+    """Invariants of the TMSV of variance V after the fading channel.
+
+    The state is A = V I, B = b I, C = c diag(1, -1) with
+    b = 1 + <eta>(V - 1) + t epsilon and c^2 = t (V^2 - 1), t = <sqrt(eta)>^2
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  Returns t,
+    var = <eta> - t, the input-referred noise t epsilon, b, c and
+    D = V b - c^2 = V (1 - <eta>) + V^2 var + t (1 + V epsilon), a sum of
+    non-negative terms.
+    """
+    t = sqrt_eta_mean**2
+    var = np.maximum(eta_mean - t, 0.0)
+    noise = t * epsilon
+    b = 1.0 + eta_mean * (v - 1.0) + noise
+    c = np.sqrt(t * (v - 1.0) * (v + 1.0))
+    d = v * (1.0 - eta_mean) + v * v * var + t * (1.0 + v * epsilon)
+    return t, var, noise, b, c, d
+
+
+@np.errstate(over="raise", invalid="raise")
+def _rates(v, eta_mean, sqrt_eta_mean, epsilon, beta):
+    """(I_AB, chi_BE, KR) of the faded TMSV, broadcast over all arguments.
+
+    With the invariants of `_faded_tmsv`, every quantity below is a sum of
+    non-negative terms (|V - b| is only ever added), so nothing cancels near
+    pure states or at large V:
+
+    - the sender's heterodyne leaves the receiver's x with variance
+      V_B|A = 1 + var (V - 1) + t epsilon, and I_AB = log2(b / V_B|A) / 2;
+    - the symplectic eigenvalues obey nu1 - nu2 = |V - b|, nu1 nu2 = D and
+      nu1 + nu2 = S, S^2 = (V + b - 2c)(V + b + 2c), where
+      V + b - 2c = l^2 + var (V - 1) + t epsilon and
+      l = sqrt(V + 1) - sqrt(t (V - 1)), taken in rationalised form;
+    - an x homodyne of mode 2 leaves mode 1 with nu_cond = sqrt(V D / b).
+
+    Overflow, far beyond any physical V, raises FloatingPointError.
+    """
+    t, var, noise, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon)
+    i_ab = np.log1p(t * (v - 1.0) / (1.0 + var * (v - 1.0) + noise)) / (2.0 * _LN2)
+    ell = ((1.0 - t) * v + 1.0 + t) / (np.sqrt(v + 1.0) + np.sqrt(t * (v - 1.0)))
+    s = np.sqrt((ell * ell + var * (v - 1.0) + noise) * (v + b + 2.0 * c))
+    nu1 = 0.5 * (s + np.abs((1.0 - eta_mean) * (v - 1.0) - noise))
+    chi = _entropy(nu1) + _entropy(d / nu1) - _entropy(np.sqrt(v * d / b))
+    return i_ab, chi, beta * i_ab - chi
+
+
+@np.errstate(over="raise", invalid="raise")
+def _log_negativity(v, eta_mean, sqrt_eta_mean, epsilon):
+    """LN of the faded TMSV, max{0, -log2 nu~}, broadcast over all arguments.
+
+    The partial transpose has nu~ nu~' = D and nu~ + nu~' = V + b, so its
+    smaller symplectic eigenvalue is nu~ = 2D / (V + b + sqrt((V - b)^2 + 4c^2))
+    without cancellation, however pure the state.
+    """
+    _, _, _, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon)
+    nu = 2.0 * d / (v + b + np.hypot(v - b, 2.0 * c))
+    return np.maximum(0.0, -np.log2(nu))
+
+
+def _point(params: ProtocolParams, stats: FadingStats):
+    return _rates(params.v, stats.eta_mean, stats.sqrt_eta_mean,
+                  params.epsilon, params.beta)
 
 
 def mutual_information(params: ProtocolParams, stats: FadingStats) -> float:
@@ -71,12 +150,7 @@ def mutual_information(params: ProtocolParams, stats: FadingStats) -> float:
     conditions it to variance V_B|A = V_B - T_eff (V^2 - 1)/(V + 1), giving
     I_AB = (1/2) log2(V_B / V_B|A).
     """
-    t_eff, eps_out = effective_channel(stats, params.v, params.epsilon)
-    v_b = 1.0 + t_eff * (params.v - 1.0) + eps_out
-    v_b_given_a = v_b - t_eff * (params.v**2 - 1.0) / (params.v + 1.0)
-    if v_b_given_a <= 0.0:
-        raise ArithmeticError(f"non-positive conditional variance {v_b_given_a}")
-    return 0.5 * math.log2(v_b / v_b_given_a)
+    return float(_point(params, stats)[0])
 
 
 def holevo_bound(params: ProtocolParams, stats: FadingStats) -> float:
@@ -87,17 +161,12 @@ def holevo_bound(params: ProtocolParams, stats: FadingStats) -> float:
     state after the channel and gamma_A|b the sender mode conditioned on the
     receiver's x homodyne.
     """
-    gamma = apply_fading_channel(tmsv(params.v), stats, params.epsilon)
-    cond = condition_on_homodyne(gamma, measured_mode=2, quadrature="x")
-    det_cond = float(np.linalg.det(cond))
-    if det_cond < 0.0:
-        raise ArithmeticError(f"negative conditional determinant {det_cond}")
-    return von_neumann_entropy(gamma) - entropy_g(math.sqrt(det_cond))
+    return float(_point(params, stats)[1])
 
 
 def key_rate(params: ProtocolParams, stats: FadingStats) -> float:
     """Asymptotic collective-attack lower bound beta*I_AB - chi_BE, unclamped."""
-    return params.beta * mutual_information(params, stats) - holevo_bound(params, stats)
+    return float(_point(params, stats)[2])
 
 
 @dataclass(frozen=True)
@@ -116,6 +185,55 @@ class ModulationOptimum:
     all_negative: bool = False
 
 
+def _optimize(eta_mean, sqrt_eta_mean, epsilon, beta):
+    """The search of `optimize_modulation` for many channels in lockstep.
+
+    The arguments broadcast to one 1-D array of channels.  The coarse grid is
+    one kernel call for all of them; golden section then advances every
+    channel whose bracket is still wider than the stopping rule, one kernel
+    call per step, so each channel takes exactly the steps it would take
+    alone.  Returns the arrays (v_opt, kr_opt, at_cap, all_negative).
+    """
+    channels = np.broadcast_arrays(
+        *np.atleast_1d(eta_mean, sqrt_eta_mean, epsilon, beta))
+
+    def rate(v, idx=slice(None)):
+        return _rates(v, *(x[idx] for x in channels))[2]
+
+    def unconverged(idx):
+        return idx[hi[idx] - lo[idx] > 1e-4 * (0.5 * (lo[idx] + hi[idx]))]
+
+    grid = np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, V_GRID_POINTS)
+    rates = rate(grid, np.s_[:, None])
+    best = rates.argmax(axis=1)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, V_GRID_POINTS - 1)]
+
+    # golden-section maximization on [lo, hi]
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = rate(x1), rate(x2)
+    live = unconverged(np.arange(lo.size))
+    while live.size:
+        rise = f1[live] < f2[live]
+        up, down = live[rise], live[~rise]
+        lo[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = lo[up] + _INVPHI * (hi[up] - lo[up])
+        hi[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = hi[down] - _INVPHI * (hi[down] - lo[down])
+        probed = rate(np.where(rise, x2[live], x1[live]), live)
+        f2[up], f1[down] = probed[rise], probed[~rise]
+        live = unconverged(live)
+    v_opt = 0.5 * (lo + hi)
+    kr_opt = rate(v_opt)
+    # keep the best coarse-grid point if refinement landed lower
+    top = rates.max(axis=1)
+    coarse = top > kr_opt
+    v_opt = np.where(coarse, grid[best], v_opt)
+    kr_opt = np.where(coarse, top, kr_opt)
+    return v_opt, kr_opt, best == V_GRID_POINTS - 1, kr_opt < 0.0
+
+
 def optimize_modulation(stats: FadingStats, epsilon: float,
                         beta: float) -> ModulationOptimum:
     """Maximize the key rate over the state variance V.
@@ -125,35 +243,9 @@ def optimize_modulation(stats: FadingStats, epsilon: float,
     |dV|/V < 1e-4.
     Deterministic: identical inputs give identical results.
     """
-    def rate(v: float) -> float:
-        return key_rate(ProtocolParams(v=v, epsilon=epsilon, beta=beta), stats)
-
-    grid = np.geomspace(V_SEARCH_MIN, V_SEARCH_MAX, V_GRID_POINTS)
-    rates = np.array([rate(v) for v in grid])
-    best = int(np.argmax(rates))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, V_GRID_POINTS - 1)]
-
-    # golden-section maximization on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = rate(x1), rate(x2)
-    while (hi - lo) > 1e-4 * (0.5 * (lo + hi)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = rate(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = rate(x1)
-    v_opt = 0.5 * (lo + hi)
-    kr_opt = rate(v_opt)
-    # keep the best coarse-grid point if refinement landed lower
-    if rates[best] > kr_opt:
-        v_opt, kr_opt = float(grid[best]), float(rates[best])
-    return ModulationOptimum(
-        v_opt=float(v_opt), kr_opt=float(kr_opt),
-        at_cap=best == V_GRID_POINTS - 1,
-        all_negative=kr_opt < 0.0)
+    _check_noise_and_efficiency(epsilon, beta)
+    v_opt, kr_opt, at_cap, all_negative = _optimize(
+        stats.eta_mean, stats.sqrt_eta_mean, epsilon, beta)
+    return ModulationOptimum(v_opt=float(v_opt[0]), kr_opt=float(kr_opt[0]),
+                             at_cap=bool(at_cap[0]),
+                             all_negative=bool(all_negative[0]))

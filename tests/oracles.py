@@ -7,7 +7,8 @@ For symplectic spectra the library factors gamma = L L^T and runs the
 Hermitian eigensolver on i L^T Omega L; `symplectic_eigs_iomega` runs the
 general (non-Hermitian) eigensolver on i Omega gamma itself, and
 `holevo_scalar` takes the closed-form determinant invariants.  Agreement is
-then evidence, not tautology.
+then evidence, not tautology.  `holevo_decimal` evaluates those invariants in
+40-digit decimal arithmetic, where their cancellation costs nothing.
 
 One exception: the exact branches of `eta_of_offset` and `fading_moments`
 use `scipy.stats.ncx2.cdf`, which (scipy 1.17) evaluates
@@ -19,6 +20,7 @@ that.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -89,6 +91,40 @@ def holevo_scalar(v, epsilon, eta_mean, sqrt_eta_mean):
     cond_xx = v - c * c / b
     nu_cond = math.sqrt(cond_xx * v)
     return _g(nu1) + _g(nu2) - _g(nu_cond)
+
+
+def holevo_decimal(v, epsilon, eta_mean, sqrt_eta_mean):
+    """Holevo bound of the faded TMSV from the invariants, to 40 digits.
+
+    The channel enters through <eta> and T_eff = <sqrt(eta)>^2 rounded to
+    float64, as in `effective_channel`; every float converts to Decimal
+    exactly, so this is the bound of the very state a float64 route is given.
+    Near a pure-loss channel at large v, the determinant v b - c^2 of a
+    float64 matrix loses about v^2 eps, and g(nu) has infinite slope at
+    nu = 1; at 40 digits that costs nothing.  An <eta> a rounding error
+    below T_eff (no wandering) is raised to T_eff, as `FadingStats` clamps
+    Var(sqrt(eta)) at 0.
+    """
+    t_eff = sqrt_eta_mean**2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        v, epsilon, eta_mean, t = map(
+            Decimal, (v, epsilon, max(eta_mean, t_eff), t_eff))
+        b = 1 + eta_mean * (v - 1) + t * epsilon
+        c_sq = t * (v * v - 1)
+        det = v * b - c_sq
+        delta = v * v + b * b - 2 * c_sq
+        nu1 = ((delta + max(delta * delta - 4 * det * det, Decimal(0)).sqrt())
+               / 2).sqrt()
+
+        def g(nu):
+            if nu <= 1:
+                return Decimal(0)
+            up, dn = (nu + 1) / 2, (nu - 1) / 2
+            return (up * up.ln() - dn * dn.ln()) / Decimal(2).ln()
+
+        chi = g(nu1) + g(det / nu1) - g((v * det / b).sqrt())
+        return float(chi)
 
 
 def weibull_closed_form(a_over_W):

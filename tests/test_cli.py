@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from beamfade.channel import BeamGeometry, exact_eta_at_offset
 from beamfade.cli import main
 from beamfade.fading import analytic_moments
-from beamfade.gaussian import apply_fading_channel, log_negativity, tmsv
+from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import ProtocolParams, holevo_bound, mutual_information
 
 
@@ -198,6 +198,23 @@ class TestLnCurve:
             assert float(row[3]) == pytest.approx(3.8, abs=1e-9)
 
 
+    def test_pure_state_keeps_its_entanglement_exactly(self, capsys):
+        code, out, _ = run(capsys, "ln-curve", "--ln0", "20", "--sigma-b2", "0",
+                           "--excess-noise", "0", "--aw-min", "10",
+                           "--aw-max", "11", "--steps", "2")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert [row[3] for row in rows] == ["20", "20"]
+
+    def test_large_variance_is_finite(self, capsys):
+        code, out, err = run(capsys, "ln-curve", "--variance", "1e8",
+                             "--steps", "3")
+        assert code == 0, err
+        _, rows = rows_of(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 class TestKrCurve:
 
     def test_lossless_anchor_at_unit_beta(self, capsys):
@@ -254,6 +271,41 @@ class TestKrCurve:
         _, rows = rows_of(first)
         # optimized variance should move away from the 7 SNU default
         assert float(rows[0][2]) != 7.0
+
+
+    def test_large_variance_is_finite_and_bounded(self, capsys):
+        code, out, err = run(capsys, "kr-curve", "--variance", "1e8",
+                             "--steps", "3")
+        assert code == 0, err
+        _, rows = rows_of(out)
+        assert len(rows) == 3
+        for row in rows:
+            values = [float(x) for x in row]
+            assert all(math.isfinite(x) for x in values)
+            i_ab, kr = values[3], values[5]
+            assert kr <= 0.97 * i_ab + 1e-9
+
+
+class TestKernelPath:
+
+    def test_curves_build_no_covariance_matrix(self, capsys, monkeypatch):
+        built = []
+        validate = CovMat2.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(CovMat2, "__post_init__", counted)
+        sweep = ("--steps", "3", "--sigma-b2", "0.2", "--sigma-b2", "0.4")
+        for argv in (("kr-curve", "--optimize", *sweep),
+                     ("ln-curve", *sweep, "--variance", "2", "--variance", "7")):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+        assert built == []
+        # the counter does see a construction
+        tmsv(2.0)
+        assert len(built) == 1
 
 
 class TestSample:

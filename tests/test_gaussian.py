@@ -100,6 +100,12 @@ class TestTmsv:
         with pytest.raises(ValueError, match=r"^v "):
             tmsv(math.nan)
 
+    def test_rejects_state_beyond_double_precision(self):
+        # gamma + i Omega >= 0 holds within its 1e-9 tolerance, but the
+        # smallest eigenvalue of gamma, about 1/(2V), is lost to rounding
+        with pytest.raises(ValueError, match="not numerically positive definite"):
+            tmsv(49154564.718306005)
+
 
 class TestSymplecticEigs:
 

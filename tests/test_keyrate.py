@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfade.channel import BeamGeometry
 from beamfade.fading import FadingStats, analytic_moments
@@ -12,13 +14,20 @@ from beamfade.keyrate import (
     V_SEARCH_MAX,
     V_SEARCH_MIN,
     ProtocolParams,
+    _log_negativity,
+    _optimize,
     holevo_bound,
     key_rate,
     mutual_information,
     optimize_modulation,
 )
 
-from oracles import holevo_dense, holevo_scalar
+from oracles import (
+    holevo_decimal,
+    holevo_dense,
+    holevo_scalar,
+    log_negativity_dense,
+)
 
 REF_STATS = analytic_moments(BeamGeometry(1.0, 0.3))
 REF_PARAMS = ProtocolParams(v=7.0, epsilon=0.01, beta=0.97)
@@ -225,6 +234,30 @@ class TestOptimizeModulation:
                                          beta=0.97), REF_STATS)
         assert found.kr_opt == pytest.approx(direct, abs=1e-12)
 
+    def test_lockstep_matches_one_point_search(self):
+        # the channels leave the golden-section loop after different numbers
+        # of steps; one hits the cap and one has no positive rate anywhere
+        hopeless = analytic_moments(BeamGeometry(0.4, 0.5))
+        cases = ([(stats, 0.01, 0.97) for stats in STATS_GRID]
+                 + [(LOSSLESS, 0.0, 1.0), (hopeless, 0.3, 0.5)])
+        stats, eps, beta = zip(*cases)
+        found = _optimize([s.eta_mean for s in stats],
+                          [s.sqrt_eta_mean for s in stats], eps, beta)
+        flags = set()
+        for i, case in enumerate(cases):
+            alone = optimize_modulation(*case)
+            assert tuple(x[i] for x in found) == (
+                alone.v_opt, alone.kr_opt, alone.at_cap, alone.all_negative)
+            flags.add((alone.at_cap, alone.all_negative))
+        assert flags == {(False, False), (True, False), (False, True)}
+
+    @pytest.mark.parametrize("kwargs", [dict(epsilon=-0.01, beta=0.97),
+                                        dict(epsilon=math.nan, beta=0.97),
+                                        dict(epsilon=0.01, beta=0.0)])
+    def test_rejects_bad_channel_knobs(self, kwargs):
+        with pytest.raises(ValueError, match="epsilon|beta"):
+            optimize_modulation(REF_STATS, **kwargs)
+
     def test_sigma_ordering_of_optimized_rates(self):
         for aw in (0.6, 1.0, 1.5):
             rates = [optimize_modulation(analytic_moments(BeamGeometry(aw, s2)),
@@ -232,3 +265,25 @@ class TestOptimizeModulation:
                      for s2 in (0.2, 0.3, 0.4)]
             assert rates[0] >= rates[1] - 1e-12
             assert rates[1] >= rates[2] - 1e-12
+
+
+class TestKernelProperties:
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(v=st.floats(1.0 + 1e-6, 1e3), aw=st.floats(0.1, 5.0),
+           s2=st.floats(0.0, 1.0), eps=st.floats(0.0, 0.2),
+           beta=st.floats(0.0, 1.0, exclude_min=True))
+    def test_bounds_and_oracles(self, v, aw, s2, eps, beta):
+        stats = analytic_moments(BeamGeometry(aw, s2))
+        m, s = stats.eta_mean, stats.sqrt_eta_mean
+        p = ProtocolParams(v=v, epsilon=eps, beta=beta)
+        i_ab, chi, kr = (mutual_information(p, stats), holevo_bound(p, stats),
+                         key_rate(p, stats))
+        ln = _log_negativity(v, m, s, eps)
+        assert kr <= beta * i_ab + 1e-12
+        assert i_ab >= 0.0 and chi >= -1e-12 and ln >= 0.0
+        # the dense float64 matrix cannot hold a near pure-loss state at large
+        # V to 1e-9 in chi (its determinant cancels V^2 digits), so chi is
+        # held to the 40-digit invariants instead
+        assert chi == pytest.approx(holevo_decimal(v, eps, m, s), abs=1e-10)
+        assert ln == pytest.approx(log_negativity_dense(v, eps, m, s), abs=1e-9)
