@@ -17,7 +17,7 @@ import numpy as np
 from .channel import BeamGeometry, sample_transmittance
 from .fading import analytic_moments, empirical_moments
 from .ingest import SeriesFormatError, fit_geometry, parse_series
-from .keyrate import _log_negativity, _optimize, _rates
+from .keyrate import V_MAX, _log_negativity, _optimize, _rates
 
 
 def _fmt(x) -> str:
@@ -26,8 +26,7 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -38,49 +37,34 @@ def _write(lines, out_path):
 def _emit(header, rows, out_path):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write(lines, out_path)
+    _write("\n".join(lines) + "\n", out_path)
 
 
-def _positive(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _checked(convert, ok, rule):
+    """An argparse type: `convert` the text, then require `ok(value)`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _non_negative(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "must be > 0")
+_non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0, "must be >= 0")
+_variance = _checked(float, lambda v: 1 <= v <= V_MAX,
+                     f"state variance (--variance) must be in [1, {V_MAX:g}] SNU")
+_beta = _checked(float, lambda b: 0 < b <= 1, "beta must be in (0, 1]")
+_count = _checked(int, lambda n: n >= 1, "must be >= 1")
+_steps = _checked(int, lambda n: n >= 2, "steps must be >= 2")
 
 
-def _variance(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 1):
-        raise argparse.ArgumentTypeError(f"variance must be >= 1 SNU, got {text}")
-    return value
-
-
-def _beta(text):
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"beta must be in (0, 1], got {text}")
-    return value
-
-
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _steps(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"steps must be >= 2, got {text}")
-    return value
+def _ln0(text):
+    """LN0 as the variance V = cosh(LN0 ln 2) of the TMSV with that entanglement."""
+    # the cap keeps math.cosh below overflow; cosh(710) is far above V_MAX
+    v = math.cosh(min(_non_negative(text) * math.log(2.0), 710.0))
+    return _variance(repr(v))
 
 
 def _add_sweep_flags(sub):
@@ -124,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     state = p.add_mutually_exclusive_group()
     state.add_argument("--variance", type=_variance, action="append",
                        help="state variance in SNU, repeatable (default 7)")
-    state.add_argument("--ln0", type=_non_negative, action="append",
+    state.add_argument("--ln0", type=_ln0, action="append",
                        help="initial entanglement instead of variance, repeatable")
     p.add_argument("--excess-noise", type=_non_negative, default=0.01,
                    help="channel excess noise in SNU (default 0.01)")
@@ -214,11 +198,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_ln_curve(args) -> int:
-    if args.ln0:
-        # LN0 of a two-mode squeezed state inverts to V = cosh(LN0 ln 2)
-        variances = tuple(math.cosh(ln0 * math.log(2.0)) for ln0 in args.ln0)
-    else:
-        variances = tuple(args.variance) if args.variance else (7.0,)
+    variances = args.ln0 or args.variance or (7.0,)
     header = ("a_over_W", "sigma_b2", "V", "LN")
     rows = []
     for s2, block in _sweep(args):
@@ -266,11 +246,11 @@ def cmd_sample(args) -> int:
     geometry = BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2)
     eta = sample_transmittance(geometry, seed=args.seed, n=args.samples,
                                model=args.model)
-    lines = [f"# transmittance samples a_over_W={_fmt(args.aw)} "
-             f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
-             f"seed={args.seed} model={args.model}"]
-    lines.extend(f"{value:.17g}" for value in eta)
-    _write(lines, args.out)
+    header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
+              f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
+              f"seed={args.seed} model={args.model}\n")
+    # one %-format of all samples: the same text as f"{x:.17g}" per line
+    _write(header + "%.17g\n" * eta.size % tuple(eta.tolist()), args.out)
     return 0
 
 

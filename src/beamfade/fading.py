@@ -112,7 +112,10 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
             raise QuadratureError(f"moment <T^{n}> did not converge at "
                                   f"a_over_W={geometry.a_over_W}", achieved=err)
         moments.append(val)
-    mean_t, mean_t2 = moments
+    # rounding can leave the quadratures an ulp outside <T>^2 <= <T^2> <= t0^2;
+    # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
+    mean_t = min(moments[0], t0)
+    mean_t2 = min(max(moments[1], mean_t**2), t0**2)
     return FadingStats(eta_mean=mean_t2, sqrt_eta_mean=mean_t,
                        var_sqrt_eta=mean_t2 - mean_t**2, eta_max=t0**2)
 

@@ -1,10 +1,14 @@
 """Measured transmittance series: parsing, histograms, and model fitting.
 
 Input files are plain UTF-8 text with one intensity-transmittance sample per
-line ('#' starts a comment line, blank lines are skipped, LF or CRLF both
-work).  An optional reference value divides the raw readings, so detector
-voltages can be brought to the [0, 1] transmittance scale without external
-calibration.
+line.  Lines are those of `str.splitlines` (LF, CRLF, CR, form feed, U+0085
+and the other Unicode line boundaries), stripped of whitespace; blank lines
+and lines that start with '#' are skipped.  A sample is any text Python's
+`float` accepts (underscores and non-ASCII digits included) except nan and
+infinity, so a second column or a trailing comment is an error.  An optional
+reference value divides the raw readings, so detector voltages can be brought
+to the [0, 1] transmittance scale without external calibration.  Errors name
+the first offending line, in file order.
 """
 
 from __future__ import annotations
@@ -129,29 +133,42 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
         try:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise SeriesFormatError(f"input is not valid UTF-8: {exc}") from None
+            line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+            raise SeriesFormatError(f"input is not valid UTF-8: {exc}", line) from None
 
-    values = []
-    for number, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+    # float() strips less than str.strip() (not U+001F), so parse stripped text
+    data = [text for text in map(str.strip, raw.splitlines())
+            if text[:1] not in ("", "#")]
+    if not data:
+        raise SeriesFormatError("no samples found")
+    try:
+        values = np.fromiter(map(float, data), float, len(data))
+    except ValueError:
+        raise _first_fault(raw, reference) from None
+    with np.errstate(over="ignore"):  # an overflow to inf fails the band check
+        values /= reference or 1.0
+    # nan fails both comparisons, so this also rejects non-finite values
+    if not np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
+        raise _first_fault(raw, reference)
+    return TransmittanceSeries(np.clip(values, 0.0, 1.0, out=values), source_label=label)
+
+
+def _first_fault(raw, reference) -> SeriesFormatError:
+    """The error for the first line, in file order, that `parse_series` rejects."""
+    for number, text in enumerate(map(str.strip, raw.splitlines()), start=1):
+        if text[:1] in ("", "#"):
             continue
         try:
             value = float(text)
         except ValueError:
-            raise SeriesFormatError(f"cannot parse {text!r}", number) from None
+            return SeriesFormatError(f"cannot parse {text!r}", number)
         if not math.isfinite(value):
-            raise SeriesFormatError(f"non-finite value {text!r}", number)
-        if reference is not None:
-            value /= reference
-        if value < -EDGE_TOLERANCE or value > 1.0 + EDGE_TOLERANCE:
-            raise SeriesFormatError(
+            return SeriesFormatError(f"non-finite value {text!r}", number)
+        value /= reference or 1.0
+        if not -EDGE_TOLERANCE <= value <= 1.0 + EDGE_TOLERANCE:
+            return SeriesFormatError(
                 f"value {value} outside [{-EDGE_TOLERANCE}, {1.0 + EDGE_TOLERANCE}]",
                 number)
-        values.append(min(max(value, 0.0), 1.0))
-    if not values:
-        raise SeriesFormatError("no samples found")
-    return TransmittanceSeries(np.array(values), source_label=label)
 
 
 def histogram(series: TransmittanceSeries, bins: int, value_range=None) -> Histogram:

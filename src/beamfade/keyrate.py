@@ -26,6 +26,9 @@ import numpy as np
 from .fading import FadingStats
 
 V_SEARCH_MAX = 1e3
+# largest accepted state variance: the kernels' product V^3 Var(sqrt(eta))
+# overflows near V = 9e102 when Var(sqrt(eta)) takes its largest value, 1/4
+V_MAX = 1e100
 V_SEARCH_MIN = 1.0 + 1e-6
 V_GRID_POINTS = 64
 
@@ -48,8 +51,8 @@ class ProtocolParams:
     Attributes
     ----------
     v : float
-        State quadrature variance in SNU (entanglement-based picture); the
-        coherent-state modulation variance is v - 1.
+        State quadrature variance in SNU (entanglement-based picture), in
+        [1, V_MAX]; the coherent-state modulation variance is v - 1.
     epsilon : float
         Fixed channel excess noise in SNU, referred to the channel input.
     beta : float
@@ -61,9 +64,9 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and self.v >= 1.0):
+        if not 1.0 <= self.v <= V_MAX:
             raise ValueError(
-                f"v (state variance) must be finite and >= 1 SNU, got {self.v}")
+                f"v (state variance) must lie in [1, {V_MAX:g}] SNU, got {self.v}")
         _check_noise_and_efficiency(self.epsilon, self.beta)
 
 

@@ -244,3 +244,34 @@ def optimal_key_rate(epsilon, beta, eta_mean, sqrt_eta_mean):
         bounds=(math.log(1.0 + 1e-6), math.log(1e3)), method="bounded",
         options={"xatol": 1e-9})
     return -float(found.fun)
+
+
+def parse_series_loop(raw, reference=None, edge=0.01):
+    """Samples of a transmittance file, read one line at a time.
+
+    The scalar reading of the format `ingest.parse_series` reads with array
+    operations: `str.splitlines()` lines, stripped; blank and '#' lines
+    skipped; Python `float` per line, rejected when non-finite; divided by
+    `reference`; rejected outside [-edge, 1 + edge], else clamped to [0, 1].
+    Returns the list of samples or raises ValueError with the message the
+    library gives, line number included.
+    """
+    values = []
+    for number, line in enumerate(raw.splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"line {number}: cannot parse {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {number}: non-finite value {text!r}")
+        if reference is not None:
+            value /= reference
+        if value < -edge or value > 1.0 + edge:
+            raise ValueError(f"line {number}: value {value} outside [{-edge}, {1.0 + edge}]")
+        values.append(min(max(value, 0.0), 1.0))
+    if not values:
+        raise ValueError("no samples found")
+    return values

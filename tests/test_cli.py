@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamfade.channel import BeamGeometry, exact_eta_at_offset
+from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import main
 from beamfade.fading import analytic_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
-from beamfade.keyrate import ProtocolParams, holevo_bound, mutual_information
+from beamfade.keyrate import V_MAX, ProtocolParams, holevo_bound, mutual_information
 
 
 def run(capsys, *argv):
@@ -87,6 +87,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["ln-curve", "--variance", "7", "--ln0", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("kr-curve", "--variance", "1e150"),
+        ("ln-curve", "--variance", "1e200"),
+        ("ln-curve", "--ln0", "2000"),
+        ("ln-curve", "--ln0", "400"),
+    ])
+    def test_variance_above_limit_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--steps", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "state variance (--variance) must be in [1, 1e+100] SNU" in err
+        assert "overflow" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("kr-curve", "--variance", repr(V_MAX)),
+        ("kr-curve", "--variance", repr(V_MAX), "--optimize"),
+        ("ln-curve", "--variance", repr(V_MAX)),
+        ("ln-curve", "--ln0", "333"),
+    ])
+    def test_variance_at_limit_is_finite(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--steps", "2", "--sigma-b2", "0.5")
+        assert code == 0, err
+        _, rows = rows_of(out)
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_command_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -330,6 +356,17 @@ class TestSample:
         assert len(lines) == 6
         for line in lines[1:]:
             assert float(line) == pytest.approx(eta_max, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_text_is_shortest_repr_per_sample(self, capsys, model, n):
+        code, out, _ = run(capsys, "sample", "--aw", "1.5", "--sigma-b2", "0.2",
+                           "--samples", str(n), "--seed", "11", "--model", model)
+        assert code == 0
+        eta = sample_transmittance(BeamGeometry(1.5, 0.2), seed=11, n=n, model=model)
+        header = (f"# transmittance samples a_over_W=1.5 sigma_b2=0.2 n={n} "
+                  f"seed=11 model={model}")
+        assert out == "\n".join([header, *(f"{x:.17g}" for x in eta)]) + "\n"
 
     def test_large_ratio_is_quiet(self, capsys):
         # the Weibull exponent overflows beyond the rim; the sample there is 0

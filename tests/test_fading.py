@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamfade.channel import (
     BeamGeometry,
@@ -133,6 +135,19 @@ class TestAnalyticMoments:
                 stats = analytic_moments(BeamGeometry(aw, s2))
                 assert 0.0 <= stats.sqrt_eta_mean**2 <= stats.eta_mean
                 assert stats.eta_mean <= stats.eta_max <= 1.0
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(aw=st.floats(min_value=0.05, max_value=50.0),
+           s2=st.one_of(st.floats(min_value=0.0, max_value=2.0),
+                        st.floats(min_value=1e-14, max_value=1e-5)))
+    # quadrature rounding once put <eta> an ulp above <sqrt(eta)>^2 and eta_max here
+    @example(aw=4.435948788750447, s2=1e-10)
+    @example(aw=1.0, s2=1e-12)
+    @example(aw=4.435948788750447, s2=1e-6)
+    def test_jensen_and_support_exactly(self, model, aw, s2):
+        stats = analytic_moments(BeamGeometry(aw, s2), model=model)
+        assert stats.sqrt_eta_mean**2 <= stats.eta_mean <= stats.eta_max
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):

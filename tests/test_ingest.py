@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from beamfade.channel import (
@@ -22,6 +24,8 @@ from beamfade.ingest import (
     histogram,
     parse_series,
 )
+
+from oracles import parse_series_loop
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 
@@ -88,6 +92,106 @@ class TestParseSeries:
 
     def test_label_stored(self):
         assert parse_series("0.5\n", label="run4").source_label == "run4"
+
+
+class TestParseSeriesEdgeCases:
+    """What counts as a line and as a number, and which line an error names."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("0.5\n0.5 # note\n", 2),
+        ("0.5 0.6", 1),
+        ("0.5\n0.5,0.6\n", 2),
+        ("0.25\n\n# c\nnan\n", 4),
+        ("0.25\nNaN\n", 2),
+        ("0.5\ninf\n", 2),
+        ("0.5\n-Infinity\n", 2),
+        ("0.5\n1e400\n", 2),
+        # an out-of-band value before an unparsable line: file order decides
+        ("0.5\n1.5\n0.25\nabc\n", 2),
+        ("0.5\nabc\n0.25\n1.5\n", 2),
+        # form feed and U+0085 end lines too
+        ("0.5\x0c0.25\x85abc\n", 3),
+    ])
+    def test_rejected_with_line(self, text, line):
+        with pytest.raises(SeriesFormatError, match=f"^line {line}: ") as exc:
+            parse_series(text)
+        assert exc.value.line_number == line
+        with pytest.raises(ValueError) as oracle:
+            parse_series_loop(text)
+        assert str(exc.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"\xff\xfe0.5\n", 1),
+        (b"0.5\r\n0.25\n# \xe9t\xe9\n", 3),
+        (b"0.5\x0c0.25\r\xc3", 3),
+    ])
+    def test_invalid_utf8_names_line(self, raw, line):
+        with pytest.raises(SeriesFormatError, match=f"^line {line}: input is not valid UTF-8"):
+            parse_series(raw)
+
+    @pytest.mark.parametrize("text, reference, samples", [
+        ("1_0\n", 20.0, [0.5]),
+        ("\u0660.\u0665\n\uff10.\uff12\uff15\n", None, [0.5, 0.25]),
+        ("0.5\x0c0.25\x850.75\u20281\n", None, [0.5, 0.25, 0.75, 1.0]),
+        # str.strip removes U+001F, U+00A0 and U+3000, which float alone would not all take
+        ("\x1f0.5\x1f\n\xa00.25\u3000\n", None, [0.5, 0.25]),
+        ("-0.0\n-0.005\n1.004\n", None, [-0.0, 0.0, 1.0]),
+    ])
+    def test_parsed_as_python_float(self, text, reference, samples):
+        got = parse_series(text, reference=reference).samples
+        assert got.tobytes() == np.array(samples).tobytes()
+        assert got.tobytes() == np.array(parse_series_loop(text, reference)).tobytes()
+
+    def test_reference_overflow_is_out_of_band(self):
+        with pytest.raises(SeriesFormatError, match="^line 2: value inf outside"):
+            parse_series("0.5e-300\n1e300\n", reference=1e-10)
+
+
+# lines a measured file may hold, valid or not, with separators str.splitlines
+# knows; the parser must agree with the per-line oracle on every file made of them
+SAMPLE_LINES = st.one_of(
+    st.floats(min_value=-0.02, max_value=1.02).map(repr),
+    st.floats(min_value=-0.02, max_value=1.02).map(lambda x: f"{x:.9f}"),
+    st.floats(min_value=0.0, max_value=3.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["", "   ", "\t", "# note", "  # x", "0.5 # note", "0.5 0.6",
+                     "0.5,0.6", "nan", "-inf", "Infinity", "1e999", "abc", "1_0",
+                     "0_.5", "\u0660.\u0665", "-0", "-0.01", "1.01", "0x1", "1e-320"]),
+    st.text(max_size=6),
+)
+PADDING = st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def series_files(draw):
+    parts = []
+    for line in draw(st.lists(SAMPLE_LINES, max_size=12)):
+        parts += [draw(PADDING), line, draw(PADDING), draw(LINE_ENDS)]
+    if parts and draw(st.booleans()):
+        parts.pop()  # no line end after the last line
+    return "".join(parts)
+
+
+class TestParseSeriesOracle:
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(text=series_files(),
+           reference=st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0),
+                               st.sampled_from([1e-300, 1e300])))
+    @example(text="0.5\n1.5\n0.25\nabc\n", reference=None)
+    @example(text="\x1f0.5\x1f\x850.25", reference=None)
+    @example(text="1e300\n", reference=1e-300)
+    def test_agrees_with_per_line_loop(self, text, reference):
+        try:
+            expected = np.array(parse_series_loop(text, reference))
+        except ValueError as exc:
+            with pytest.raises(SeriesFormatError) as got:
+                parse_series(text, reference=reference)
+            assert str(got.value) == str(exc)
+        else:
+            got = parse_series(text, reference=reference).samples
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestTransmittanceSeries:

@@ -11,6 +11,7 @@ from beamfade.channel import BeamGeometry
 from beamfade.fading import FadingStats, analytic_moments
 from beamfade.keyrate import (
     V_GRID_POINTS,
+    V_MAX,
     V_SEARCH_MAX,
     V_SEARCH_MIN,
     ProtocolParams,
@@ -65,6 +66,17 @@ class TestProtocolParams:
     def test_rejects_non_finite_fields(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
             ProtocolParams(**kwargs)
+
+    def test_variance_limit(self):
+        # at the limit every kernel product stays finite, even at the largest
+        # Var(sqrt(eta)) = 1/4; above it v is rejected by name
+        worst = FadingStats(eta_mean=0.5, sqrt_eta_mean=0.5, var_sqrt_eta=0.25,
+                            eta_max=1.0)
+        assert math.isfinite(key_rate(ProtocolParams(v=V_MAX, epsilon=10.0), worst))
+        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, 10.0))
+        for v in (1.01 * V_MAX, 1e150, math.inf):
+            with pytest.raises(ValueError, match=r"^v .*1e\+100"):
+                ProtocolParams(v=v)
 
 
 class TestMutualInformation:
