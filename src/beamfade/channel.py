@@ -21,7 +21,8 @@ from scipy.special import chndtr, i1e
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A numerical rule gave no usable value: the moment rule met a nan
+    transmittance, or the Weibull matching conditions degenerated."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")

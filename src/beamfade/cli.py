@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .channel import BeamGeometry, sample_transmittance
-from .fading import analytic_moments, empirical_moments
+from .fading import _moments, empirical_moments
 from .ingest import SeriesFormatError, fit_geometry, parse_series
-from .keyrate import V_MAX, _log_negativity, _optimize, _rates
+from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 
 def _fmt(x) -> str:
@@ -55,6 +55,9 @@ _positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "must be > 0")
 _non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0, "must be >= 0")
 _variance = _checked(float, lambda v: 1 <= v <= V_MAX,
                      f"state variance (--variance) must be in [1, {V_MAX:g}] SNU")
+_excess_noise = _checked(
+    float, lambda e: 0 <= e <= EPSILON_MAX,
+    f"excess noise (--excess-noise) must be in [0, {EPSILON_MAX:g}] SNU")
 _beta = _checked(float, lambda b: 0 < b <= 1, "beta must be in (0, 1]")
 _count = _checked(int, lambda n: n >= 1, "must be >= 1")
 _steps = _checked(int, lambda n: n >= 2, "steps must be >= 2")
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="state variance in SNU, repeatable (default 7)")
     state.add_argument("--ln0", type=_ln0, action="append",
                        help="initial entanglement instead of variance, repeatable")
-    p.add_argument("--excess-noise", type=_non_negative, default=0.01,
+    p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
                    help="channel excess noise in SNU (default 0.01)")
     _add_out_flag(p)
 
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(p)
     p.add_argument("--variance", type=_variance, default=7.0,
                    help="modulation state variance in SNU (default 7)")
-    p.add_argument("--excess-noise", type=_non_negative, default=0.01,
+    p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
                    help="channel excess noise in SNU (default 0.01)")
     p.add_argument("--beta", type=_beta, default=0.97,
                    help="post-processing efficiency (default 0.97)")
@@ -159,16 +162,14 @@ def _read_series(args):
 
 
 def _sweep(args):
-    """The moments of every geometry of a sweep, each computed once.
+    """The moments of every geometry of a sweep, one moment-rule call per sigma_b2.
 
     Returns one (sigma_b2, [(a/W, FadingStats), ...]) block per sigma_b2.
     """
     if not args.aw_max > args.aw_min:
         raise ValueError("aw_max must exceed aw_min")
     grid = np.linspace(args.aw_min, args.aw_max, args.steps)
-    return [(s2, [(aw, analytic_moments(BeamGeometry(a_over_W=aw, sigma_b2=s2),
-                                        model=args.model))
-                  for aw in grid])
+    return [(s2, list(zip(grid, _moments(grid, s2, args.model))))
             for s2 in args.sigma_b2 or (0.3,)]
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .keyrate import V_MAX
+
 _EIG_TOL = 1e-9
 
 # symplectic form for (x1, p1, x2, p2) quadrature ordering
@@ -89,10 +91,12 @@ class CovMat2:
 def tmsv(v: float) -> CovMat2:
     """Two-mode squeezed vacuum of quadrature variance V (SNU).
 
-    A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.
+    A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.  V must
+    lie in [1, V_MAX], the state variances the key-rate kernels accept.
     """
-    if not (math.isfinite(v) and v >= 1.0):
-        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
+    if not 1.0 <= v <= V_MAX:
+        raise ValueError(
+            f"v (quadrature variance) must lie in [1, {V_MAX:g}] SNU, got {v}")
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import BeamGeometry, pdt_cdf, weibull_params
 
@@ -231,6 +230,10 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
                 f"constant series at eta = {eta0} has no finite geometry")
         a_over_W = math.sqrt(-math.log1p(-eta0) / 2.0)
         return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=0.0), 0.0)
+
+    # imported here: scipy.optimize would add about half again to the
+    # start-up of every command, and only the fit needs it
+    from scipy.optimize import minimize
 
     t_sorted = np.sort(np.sqrt(eta))
     t_grid = np.linspace(0.0, 1.0, 513)[1:]

@@ -29,6 +29,9 @@ V_SEARCH_MAX = 1e3
 # largest accepted state variance: the kernels' product V^3 Var(sqrt(eta))
 # overflows near V = 9e102 when Var(sqrt(eta)) takes its largest value, 1/4
 V_MAX = 1e100
+# largest accepted excess noise: with V and epsilon at their limits the
+# kernels' largest product, V^2 <sqrt(eta)>^2 epsilon in V D, is 1e300
+EPSILON_MAX = 1e100
 V_SEARCH_MIN = 1.0 + 1e-6
 V_GRID_POINTS = 64
 
@@ -37,9 +40,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_noise_and_efficiency(epsilon, beta):
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(
-            f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
+    if not 0.0 <= epsilon <= EPSILON_MAX:
+        raise ValueError(f"epsilon (excess noise) must lie in "
+                         f"[0, {EPSILON_MAX:g}] SNU, got {epsilon}")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
 
@@ -54,7 +57,8 @@ class ProtocolParams:
         State quadrature variance in SNU (entanglement-based picture), in
         [1, V_MAX]; the coherent-state modulation variance is v - 1.
     epsilon : float
-        Fixed channel excess noise in SNU, referred to the channel input.
+        Fixed channel excess noise in SNU, referred to the channel input, in
+        [0, EPSILON_MAX].
     beta : float
         Post-processing efficiency, in (0, 1].
     """

@@ -1,8 +1,9 @@
 """Independent reference computations the tests compare against.
 
-Each oracle deliberately takes a different route than the library: plain
-grid integration instead of adaptive quadrature, scalar arithmetic instead of
-matrix conditioning, published closed forms instead of numerical matching.
+Each oracle deliberately takes a different route than the library: a plain
+trapezoid grid in the offset instead of a Gauss-Legendre rule in its log,
+scalar arithmetic instead of matrix conditioning, published closed forms
+instead of numerical matching.
 For symplectic spectra the library factors gamma = L L^T and runs the
 Hermitian eigensolver on i L^T Omega L; `symplectic_eigs_iomega` runs the
 general (non-Hermitian) eigensolver on i Omega gamma itself, and

@@ -3,16 +3,20 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import beamfade
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import main
-from beamfade.fading import analytic_moments
+from beamfade.fading import _moments, analytic_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
-from beamfade.keyrate import V_MAX, ProtocolParams, holevo_bound, mutual_information
+from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
 
 
 def run(capsys, *argv):
@@ -114,6 +118,28 @@ class TestExitCodes:
         _, rows = rows_of(out)
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
+    @pytest.mark.parametrize("command", ["kr-curve", "ln-curve"])
+    @pytest.mark.parametrize("value", ["1e300", "-1", "nan"])
+    def test_excess_noise_out_of_range_exits_two(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--excess-noise", value, "--steps", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "excess noise (--excess-noise) must be in [0, 1e+100] SNU" in err
+        assert "overflow" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("kr-curve", "--variance", repr(V_MAX)),
+        ("kr-curve", "--optimize"),
+        ("ln-curve", "--variance", repr(V_MAX)),
+    ])
+    def test_excess_noise_at_limit_is_finite(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--excess-noise", repr(EPSILON_MAX),
+                             "--steps", "2", "--sigma-b2", "0.5")
+        assert code == 0, err
+        _, rows = rows_of(out)
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
     def test_command_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -131,7 +157,6 @@ class TestExitCodes:
         assert out == ""
         assert "a_over_W" in err
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_moment_beyond_kernel_is_computation_error(self, capsys):
         code, out, err = run(capsys, "curve", "--model", "exact", "--aw-min", "1e5",
                              "--aw-max", "2e5", "--steps", "2")
@@ -194,11 +219,11 @@ class TestLnCurve:
     def test_moments_computed_once_per_geometry(self, capsys, monkeypatch):
         calls = []
 
-        def counted(geometry, model="approx"):
-            calls.append((geometry, model))
-            return analytic_moments(geometry, model=model)
+        def counted(a_over_W, sigma_b2, model):
+            calls.append((tuple(a_over_W), sigma_b2, model))
+            return _moments(a_over_W, sigma_b2, model)
 
-        monkeypatch.setattr("beamfade.cli.analytic_moments", counted)
+        monkeypatch.setattr("beamfade.cli._moments", counted)
         code, out, _ = run(capsys, "ln-curve", "--steps", "4",
                            "--sigma-b2", "0.2", "--sigma-b2", "0.4",
                            "--variance", "2", "--variance", "7",
@@ -206,8 +231,10 @@ class TestLnCurve:
         assert code == 0
         _, rows = rows_of(out)
         assert len(rows) == 2 * 3 * 4
-        assert len(calls) == 2 * 4
-        assert len(set(calls)) == len(calls)
+        # one call per sigma_b2 block, each with the 4 distinct a/W values
+        assert [(s2, model) for _, s2, model in calls] == [(0.2, "approx"),
+                                                           (0.4, "approx")]
+        assert all(len(set(aws)) == 4 for aws, _, _ in calls)
         # rows run over sigma_b2, then V, then a/W
         assert [(r[1], r[2]) for r in rows[::4]] == [
             (s2, v) for s2 in ("0.2", "0.4") for v in ("2", "7", "12")]
@@ -407,6 +434,20 @@ class TestPipeline:
         assert header == ["sigma_b2", "a_over_W", "gof", "n"]
         assert float(rows[0][0]) == pytest.approx(0.3, rel=0.05)
         assert float(rows[0][1]) == pytest.approx(1.0, rel=0.05)
+
+
+class TestStartUp:
+
+    def test_import_loads_no_integrate_or_optimize(self):
+        # scipy.optimize, which only `fit` needs, is imported when it runs;
+        # module presence is checked instead of a flaky start-up time
+        src = os.path.dirname(os.path.dirname(beamfade.__file__))
+        probe = ("import sys, beamfade.cli; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 # values every numeric flag is fuzzed with: finite floats (half of them in

@@ -18,6 +18,7 @@ from beamfade.channel import (
 )
 from beamfade.fading import (
     FadingStats,
+    _moments,
     analytic_moments,
     effective_channel,
     empirical_moments,
@@ -27,6 +28,9 @@ from beamfade.fading import (
 from oracles import fading_moments
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
+# error bound of `oracles.fading_moments`: its trapezoid rule is off by the
+# end term h^2/12 f'(0) <= 92 / (12 * 40000^2) = 4.8e-9, whatever sigma_b2
+ORACLE_TRAPEZOID_TOL = 5e-9
 
 
 def three_se(values):
@@ -153,10 +157,33 @@ class TestAnalyticMoments:
         with pytest.raises(ValueError):
             analytic_moments(REF_GEOMETRY, model="weibull")
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_rule_oracle_agreement_over_range(self, model):
+        # the fixed rule against a plain trapezoid grid in r, from a beam far
+        # wider than the aperture to a near step at the rim, and from weak
+        # to strong wandering
+        for s2 in (1e-4, 1e-2, 0.3, 2.0):
+            grid = np.geomspace(0.05, 50.0, 6)
+            for aw, stats in zip(grid, _moments(grid, s2, model)):
+                eta_mean, sqrt_eta_mean = fading_moments(aw, s2, model)
+                assert stats.eta_mean == pytest.approx(
+                    eta_mean, abs=ORACLE_TRAPEZOID_TOL)
+                assert stats.sqrt_eta_mean == pytest.approx(
+                    sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("s2", [0.0, 1e-12, 0.3, 2.0])
+    def test_sweep_call_is_per_geometry_call(self, model, s2):
+        # a sweep block is one array program; each row must still be the
+        # moment triple of its own geometry, bit for bit
+        grid = np.concatenate([np.linspace(0.3, 3.0, 31), [0.05, 50.0]])
+        per_geometry = [analytic_moments(BeamGeometry(aw, s2), model=model)
+                        for aw in grid]
+        assert _moments(grid, s2, model) == per_geometry
+
     def test_nan_kernel_names_ratio(self):
-        # from a/W ~ 5e4 on the exact kernel is nan near the rim, and quad
-        # then reports a nan error estimate
+        # from a/W ~ 5e4 on the exact kernel is nan near the rim, where the
+        # rule's window puts its nodes
         with pytest.raises(QuadratureError, match="a_over_W"):
             analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
 

@@ -18,7 +18,7 @@ from beamfade.gaussian import (
     tmsv,
     von_neumann_entropy,
 )
-from beamfade.keyrate import V_GRID_POINTS, V_SEARCH_MAX, V_SEARCH_MIN
+from beamfade.keyrate import V_GRID_POINTS, V_MAX, V_SEARCH_MAX, V_SEARCH_MIN
 
 from oracles import symplectic_eigs_iomega
 
@@ -99,6 +99,12 @@ class TestTmsv:
     def test_rejects_non_finite_variance(self):
         with pytest.raises(ValueError, match=r"^v "):
             tmsv(math.nan)
+
+    @pytest.mark.parametrize("v", [1.01 * V_MAX, 1e160, math.inf])
+    def test_rejects_variance_above_limit(self, v):
+        # v**2 overflowed from about 1.34e154 on, with a bare OverflowError
+        with pytest.raises(ValueError, match=r"^v .*1e\+100"):
+            tmsv(v)
 
     def test_rejects_state_beyond_double_precision(self):
         # gamma + i Omega >= 0 holds within its 1e-9 tolerance, but the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from beamfade.channel import BeamGeometry
 from beamfade.fading import FadingStats, analytic_moments
 from beamfade.keyrate import (
+    EPSILON_MAX,
     V_GRID_POINTS,
     V_MAX,
     V_SEARCH_MAX,
@@ -77,6 +78,19 @@ class TestProtocolParams:
         for v in (1.01 * V_MAX, 1e150, math.inf):
             with pytest.raises(ValueError, match=r"^v .*1e\+100"):
                 ProtocolParams(v=v)
+
+    def test_excess_noise_limit(self):
+        # with v and epsilon both at their limits every kernel product stays
+        # finite; above it epsilon is rejected by name
+        worst = FadingStats(eta_mean=0.5, sqrt_eta_mean=0.5, var_sqrt_eta=0.25,
+                            eta_max=1.0)
+        params = ProtocolParams(v=V_MAX, epsilon=EPSILON_MAX)
+        assert all(math.isfinite(f(params, worst))
+                   for f in (mutual_information, holevo_bound, key_rate))
+        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, EPSILON_MAX))
+        for epsilon in (1.01 * EPSILON_MAX, 1e300, math.inf):
+            with pytest.raises(ValueError, match=r"^epsilon .*1e\+100"):
+                ProtocolParams(v=7.0, epsilon=epsilon)
 
 
 class TestMutualInformation:
@@ -265,6 +279,7 @@ class TestOptimizeModulation:
 
     @pytest.mark.parametrize("kwargs", [dict(epsilon=-0.01, beta=0.97),
                                         dict(epsilon=math.nan, beta=0.97),
+                                        dict(epsilon=1e300, beta=0.97),
                                         dict(epsilon=0.01, beta=0.0)])
     def test_rejects_bad_channel_knobs(self, kwargs):
         with pytest.raises(ValueError, match="epsilon|beta"):
