@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
+    _eta_exact,
     max_transmission_coefficient,
     pdt_cdf,
     pdt_density,
@@ -171,6 +172,20 @@ class TestAnalyticMoments:
                 assert stats.sqrt_eta_mean == pytest.approx(
                     sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
 
+    @pytest.mark.parametrize("s2", [0.3, 2.0])
+    def test_exact_tails_of_a_narrow_beam(self, s2):
+        # at a/W in the hundreds the exact transmittance has Gaussian tails
+        # of width ~ 1/(a/W) on both sides of the rim, which the rule's
+        # refined window must hold; ending it at s* + 6/p put 1e-7 of
+        # <sqrt(eta)> into the wide panels at a/W = 200
+        grid = np.array([100.0, 200.0, 500.0])
+        for aw, stats in zip(grid, _moments(grid, s2, "exact")):
+            eta_mean, sqrt_eta_mean = fading_moments(aw, s2, "exact")
+            assert stats.eta_mean == pytest.approx(
+                eta_mean, abs=ORACLE_TRAPEZOID_TOL)
+            assert stats.sqrt_eta_mean == pytest.approx(
+                sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
+
     @pytest.mark.parametrize("model", ["approx", "exact"])
     @pytest.mark.parametrize("s2", [0.0, 1e-12, 0.3, 2.0])
     def test_sweep_call_is_per_geometry_call(self, model, s2):
@@ -181,11 +196,47 @@ class TestAnalyticMoments:
                         for aw in grid]
         assert _moments(grid, s2, model) == per_geometry
 
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("aw", [0.3, 1.0, 3.0])
+    def test_wide_wandering_limit(self, model, aw):
+        # for sigma_b2 >> 1 the offset density is flat, 1/(2 pi sigma_b2), where
+        # eta > 0, so <eta> -> (integral of eta over the offset plane) /
+        # (2 pi sigma_b2); that integral is the aperture area pi for the exact
+        # model and pi t0^2 scale^2 Gamma(1 + 2/lam) for the Weibull form;
+        # the next order is O(1/sigma_b2)
+        s2 = 1e9
+        if model == "exact":
+            area = math.pi
+        else:
+            p = weibull_params(aw)
+            area = math.pi * p.t0**2 * p.scale**2 * math.gamma(1.0 + 2.0 / p.lam)
+        stats = analytic_moments(BeamGeometry(aw, s2), model=model)
+        assert stats.eta_mean == pytest.approx(area / (2.0 * math.pi * s2), rel=1e-6)
+
+    def test_rim_below_rule_range(self):
+        # at sigma_b2 = 1e300 the rim sits at u = 5e-301, below the whole rule
+        # range, so the mass below u = 1e-14 must not be given T = t0; the
+        # true moments are about 1/(2 sigma_b2)
+        stats = analytic_moments(BeamGeometry(1.0, 1e300))
+        assert stats.sqrt_eta_mean <= 1e-299
+
     def test_nan_kernel_names_ratio(self):
         # from a/W ~ 5e4 on the exact kernel is nan near the rim, where the
         # rule's window puts its nodes
         with pytest.raises(QuadratureError, match="a_over_W"):
             analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
+
+
+    def test_sweep_nan_names_first_ratio(self, monkeypatch):
+        # from a/W = 4e4 on, the window's nodes meet the nan band of the exact
+        # kernel at the rim (and chndtr takes seconds per geometry there), so
+        # a kernel that is nan above a/W = 5 stands in for it
+        def nan_above_five(r, a_over_W):
+            return np.where(a_over_W > 5.0, np.nan, _eta_exact(r, a_over_W))
+
+        monkeypatch.setattr("beamfade.fading._eta_exact", nan_above_five)
+        with pytest.raises(QuadratureError, match=r"a_over_W=6\.0 "):
+            _moments(np.array([1.0, 6.0, 8.0]), 0.3, "exact")
 
 
 class TestLargeApertureRatio:
