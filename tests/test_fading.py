@@ -211,7 +211,8 @@ class TestAnalyticMoments:
             p = weibull_params(aw)
             area = math.pi * p.t0**2 * p.scale**2 * math.gamma(1.0 + 2.0 / p.lam)
         stats = analytic_moments(BeamGeometry(aw, s2), model=model)
-        assert stats.eta_mean == pytest.approx(area / (2.0 * math.pi * s2), rel=1e-6)
+        assert stats.eta_mean == pytest.approx(area / (2.0 * math.pi * s2),
+                                               rel=1e-6)
 
     def test_rim_below_rule_range(self):
         # at sigma_b2 = 1e300 the rim sits at u = 5e-301, below the whole rule
@@ -221,11 +222,11 @@ class TestAnalyticMoments:
         assert stats.sqrt_eta_mean <= 1e-299
 
     def test_nan_kernel_names_ratio(self):
-        # from a/W ~ 5e4 on the exact kernel is nan near the rim, where the
-        # rule's window puts its nodes
+        # from a/W ~ 5e4 on the exact kernel is nan near the rim; at 2e5 it is
+        # nan at the rim itself, where the matching that places the rule's
+        # window evaluates it
         with pytest.raises(QuadratureError, match="a_over_W"):
             analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
-
 
     def test_sweep_nan_names_first_ratio(self, monkeypatch):
         # from a/W = 4e4 on, the window's nodes meet the nan band of the exact
