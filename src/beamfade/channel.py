@@ -87,14 +87,21 @@ def max_transmission_coefficient(a_over_W: float) -> float:
     """
     if not (math.isfinite(a_over_W) and a_over_W > 0):
         raise ValueError(f"a_over_W must be finite and > 0, got {a_over_W}")
-    return math.sqrt(-math.expm1(-2.0 * a_over_W**2))
+    # a product, not **, so that a/W beyond 1e154 gives t0 = 1, not OverflowError
+    return math.sqrt(-math.expm1(-2.0 * a_over_W * a_over_W))
 
 
 def _eta_exact(r, a_over_W):
     # P(|X| <= 1) for X ~ N(r, w^2/4 I), w = W/a: a noncentral chi^2 CDF with
     # 2 degrees of freedom, equal to 1 - Q_1(2r/w, 2/w) (Marcum Q)
-    k = 4.0 * a_over_W**2
-    return chndtr(k, 2.0, k * np.square(r))
+    k = 4.0 * a_over_W * a_over_W
+    # squares may overflow: an inf offset term gives 0 below, and k = inf
+    # (a/W beyond 1e154) a nan that the callers reject by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = chndtr(k, 2.0, k * np.square(r))
+        # P(X_1 >= 1) bounds eta by exp(-k (r - 1)^2 / 2) / 2, which is 0 in
+        # float64 where k (r - 1)^2 > 1500; chndtr is nan there from k r^2 ~ 1e20
+        return np.where((r > 1.0) & (k * np.square(r - 1.0) > 1500.0), 0.0, eta)
 
 
 def _no_nan(eta, a_over_W):
@@ -159,7 +166,7 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     -k i1e(k).
     """
     t0 = max_transmission_coefficient(a_over_W)
-    k = 4.0 * a_over_W**2
+    k = 4.0 * a_over_W * a_over_W
     eta1 = float(_eta_exact(1.0, a_over_W))
     g = math.log(t0**2 / eta1)
     d = k * float(i1e(k)) / eta1

@@ -20,24 +20,29 @@ from .ingest import SeriesFormatError, fit_geometry, parse_series
 from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 
+# samples `sample` formats per write, so its text never holds them all
+_SAMPLE_BLOCK = 65536
+
+
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
 
 
-def _write(text, out_path):
+def _write(pieces, out_path):
+    """Write an iterable of text pieces, in turn, to `out_path` or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(header, rows, out_path):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write("\n".join(lines) + "\n", out_path)
+    _write(("\n".join(lines) + "\n",), out_path)
 
 
 def _checked(convert, ok, rule):
@@ -250,9 +255,17 @@ def cmd_sample(args) -> int:
     header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
               f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
               f"seed={args.seed} model={args.model}\n")
-    # one %-format of all samples: the same text as f"{x:.17g}" per line
-    _write(header + "%.17g\n" * eta.size % tuple(eta.tolist()), args.out)
+    _write(_sample_lines(header, eta), args.out)
     return 0
+
+
+def _sample_lines(header, eta):
+    """The header, then the samples in blocks of _SAMPLE_BLOCK lines."""
+    yield header
+    for start in range(0, eta.size, _SAMPLE_BLOCK):
+        block = eta[start:start + _SAMPLE_BLOCK]
+        # one %-format per block: the same text as f"{x:.17g}" per line
+        yield "%.17g\n" * block.size % tuple(block.tolist())
 
 
 def main(argv=None) -> int:

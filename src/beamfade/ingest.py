@@ -9,6 +9,10 @@ infinity, so a second column or a trailing comment is an error.  An optional
 reference value divides the raw readings, so detector voltages can be brought
 to the [0, 1] transmittance scale without external calibration.  Errors name
 the first offending line, in file order.
+
+Besides the text itself, parsing holds at most 16 bytes per sample (the
+float64 samples of the text's pieces and their concatenation) and the Python
+lines of one piece of about 64 Ki characters.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ FIT_BOUNDS = ((1e-3, 2.0), (0.2, 4.0))
 _FIT_STARTS = ((0.05, 0.5), (0.3, 1.0), (0.8, 2.0), (0.15, 3.0))
 
 SMALL_SERIES_WARN = 1000
+
+# parse_series converts the text in pieces of about this many characters, so
+# only one piece's lines are Python objects at a time
+_PIECE_CHARS = 1 << 16
 
 
 class SeriesFormatError(ValueError):
@@ -135,21 +143,39 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
             line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
             raise SeriesFormatError(f"input is not valid UTF-8: {exc}", line) from None
 
-    # float() strips less than str.strip() (not U+001F), so parse stripped text
-    data = [text for text in map(str.strip, raw.splitlines())
-            if text[:1] not in ("", "#")]
-    if not data:
+    arrays = []
+    for piece in _pieces(raw):
+        # float() strips less than str.strip() (not U+001F), so parse stripped text
+        data = [text for text in map(str.strip, piece.splitlines())
+                if text[:1] not in ("", "#")]
+        try:
+            arrays.append(np.fromiter(map(float, data), float, len(data)))
+        except ValueError:
+            raise _first_fault(raw, reference) from None
+    if not sum(map(len, arrays)):
         raise SeriesFormatError("no samples found")
-    try:
-        values = np.fromiter(map(float, data), float, len(data))
-    except ValueError:
-        raise _first_fault(raw, reference) from None
+    values = np.concatenate(arrays)
+    del arrays  # a second copy of the samples
     with np.errstate(over="ignore"):  # an overflow to inf fails the band check
         values /= reference or 1.0
     # nan fails both comparisons, so this also rejects non-finite values
     if not np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
         raise _first_fault(raw, reference)
     return TransmittanceSeries(np.clip(values, 0.0, 1.0, out=values), source_label=label)
+
+
+def _pieces(raw):
+    """`raw` cut just after a line feed about every `_PIECE_CHARS` characters.
+
+    A line feed always ends a line and never starts a two-character line end
+    (CR LF), so the lines of the pieces are the lines of `raw`.  Text with no
+    line feed is one piece.
+    """
+    start = 0
+    while start < len(raw):
+        stop = raw.find("\n", start + _PIECE_CHARS - 1) + 1 or len(raw)
+        yield raw[start:stop]
+        start = stop
 
 
 def _first_fault(raw, reference) -> SeriesFormatError:
@@ -197,11 +223,9 @@ class FitResult:
     boundary: bool = False
 
 
-def _cdf_distance(t_sorted: np.ndarray, t_grid: np.ndarray,
+def _cdf_distance(empirical: np.ndarray, t_grid: np.ndarray,
                   sigma_b2: float, a_over_W: float) -> float:
-    params = weibull_params(a_over_W)
-    model = pdt_cdf(t_grid, params, sigma_b2)
-    empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
+    model = pdt_cdf(t_grid, weibull_params(a_over_W), sigma_b2)
     return float(np.mean((empirical - model) ** 2))
 
 
@@ -235,11 +259,13 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     # start-up of every command, and only the fit needs it
     from scipy.optimize import minimize
 
-    t_sorted = np.sort(np.sqrt(eta))
+    t_sorted = np.sqrt(eta)
+    t_sorted.sort()
     t_grid = np.linspace(0.0, 1.0, 513)[1:]
+    empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
 
     def objective(x):
-        return _cdf_distance(t_sorted, t_grid, x[0], x[1])
+        return _cdf_distance(empirical, t_grid, x[0], x[1])
 
     best = None
     for start in _FIT_STARTS:

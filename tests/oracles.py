@@ -247,6 +247,19 @@ def optimal_key_rate(epsilon, beta, eta_mean, sqrt_eta_mean):
     return -float(found.fun)
 
 
+def exact_eta_mean(a_over_W, sigma_b2):
+    """<eta> of the exact model in closed form, with no integral over offsets.
+
+    The beam's intensity is a 2-D Gaussian of variance 1/k per axis,
+    k = 4 (a/W)^2, and its center wanders as one of variance sigma_b2, so the
+    mean intensity is their convolution, a Gaussian of variance
+    1/k + sigma_b2, and the unit aperture catches
+    1 - exp(-1 / (2 (1/k + sigma_b2))) of it.
+    """
+    k = 4.0 * a_over_W**2
+    return -math.expm1(-k / (2.0 + 2.0 * k * sigma_b2))
+
+
 def parse_series_loop(raw, reference=None, edge=0.01):
     """Samples of a transmittance file, read one line at a time.
 

@@ -38,6 +38,10 @@ class TestMaxTransmissionCoefficient:
     def test_vanishing_aperture_limit(self):
         assert max_transmission_coefficient(1e-6) < 2e-6
 
+    def test_square_beyond_float_range(self):
+        # (a/W)^2 overflows from about 1.3e154; the centered beam passes whole
+        assert max_transmission_coefficient(1e300) == 1.0
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_ratio(self, bad):
         with pytest.raises(ValueError):
@@ -58,6 +62,15 @@ class TestExactEta:
 
     def test_far_offset_vanishes(self):
         assert exact_eta_at_offset(8.0, 1.0) < 1e-12
+
+    @pytest.mark.parametrize("r, aw", [(1e10, 1.0), (1e300, 0.5), (2.0, 1e3)])
+    def test_far_beyond_rim_is_zero(self, r, aw):
+        # chndtr is nan once k r^2 passes about 1e20; eta is below 1e-300 there
+        assert exact_eta_at_offset(r, aw) == 0.0
+
+    def test_huge_ratio_names_ratio(self):
+        with pytest.raises(ArithmeticError, match="a_over_W=1e"):
+            exact_eta_at_offset(0.5, 1e300)
 
     def test_disc_integration_oracle(self):
         # closed form vs brute-force 2-D integration over the aperture,

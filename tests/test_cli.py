@@ -157,6 +157,28 @@ class TestExitCodes:
         assert out == ""
         assert "a_over_W" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--aw-min", "1e300", "--aw-max", "2e300", "--steps", "2"),
+        ("curve", "--model", "exact", "--aw-min", "1e300", "--aw-max", "2e300",
+         "--steps", "2"),
+        ("sample", "--model", "exact", "--aw", "1e300", "--samples", "3"),
+        ("sample", "--model", "exact", "--aw", "1e300", "--samples", "3",
+         "--sigma-b2", "0"),
+    ])
+    def test_ratio_beyond_float_square_names_ratio(self, capsys, argv):
+        # (a/W)^2 overflows from about 1.3e154
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "a_over_W=1e+300" in err
+
+    def test_exact_moments_far_beyond_rim_are_zero(self, capsys):
+        code, out, _ = run(capsys, "curve", "--model", "exact", "--sigma-b2", "1e300",
+                           "--steps", "2")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert [row[2:] for row in rows] == [["0", "0", "0"]] * 2
+
     def test_moment_beyond_kernel_is_computation_error(self, capsys):
         code, out, err = run(capsys, "curve", "--model", "exact", "--aw-min", "1e5",
                              "--aw-max", "2e5", "--steps", "2")
@@ -385,7 +407,8 @@ class TestSample:
             assert float(line) == pytest.approx(eta_max, rel=1e-12)
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
-    @pytest.mark.parametrize("n", [1, 1000])
+    # the samples are written in blocks of 65536
+    @pytest.mark.parametrize("n", [1, 1000, 65536, 65537])
     def test_text_is_shortest_repr_per_sample(self, capsys, model, n):
         code, out, _ = run(capsys, "sample", "--aw", "1.5", "--sigma-b2", "0.2",
                            "--samples", str(n), "--seed", "11", "--model", model)
@@ -394,6 +417,15 @@ class TestSample:
         header = (f"# transmittance samples a_over_W=1.5 sigma_b2=0.2 n={n} "
                   f"seed=11 model={model}")
         assert out == "\n".join([header, *(f"{x:.17g}" for x in eta)]) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 65536, 65537])
+    def test_out_file_holds_stdout_text(self, tmp_path, capsys, n):
+        argv = ("sample", "--aw", "1.5", "--samples", str(n), "--seed", "11")
+        _, text, _ = run(capsys, *argv)
+        dst = tmp_path / "samples.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(dst))
+        assert (code, out) == (0, "")
+        assert dst.read_bytes() == text.encode("utf-8")
 
     def test_large_ratio_is_quiet(self, capsys):
         # the Weibull exponent overflows beyond the rim; the sample there is 0

@@ -26,7 +26,7 @@ from beamfade.fading import (
     fading_excess_noise,
 )
 
-from oracles import fading_moments
+from oracles import exact_eta_mean, fading_moments
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 # error bound of `oracles.fading_moments`: its trapezoid rule is off by the
@@ -220,6 +220,26 @@ class TestAnalyticMoments:
         # true moments are about 1/(2 sigma_b2)
         stats = analytic_moments(BeamGeometry(1.0, 1e300))
         assert stats.sqrt_eta_mean <= 1e-299
+
+    def test_exact_rim_below_rule_range(self):
+        # the same for the exact kernel, whose chndtr is nan at the rule's
+        # nodes there (k r^2 above about 1e20), where the transmittance is 0
+        stats = analytic_moments(BeamGeometry(1.0, 1e300), model="exact")
+        assert stats.sqrt_eta_mean <= 1e-299
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_ratio_beyond_float_square_names_ratio(self, model):
+        # (a/W)^2 overflows to inf from about 1.3e154
+        with pytest.raises(QuadratureError, match="a_over_W=1e"):
+            analytic_moments(BeamGeometry(1e300, 0.3), model=model)
+
+    def test_exact_mean_closed_form(self):
+        # over the rule's validated range; measured within 8e-16
+        aws = np.geomspace(0.01, 300.0, 9)
+        for sigma_b2 in np.geomspace(1e-12, 1e3, 8).tolist():
+            got = [stats.eta_mean for stats in _moments(aws, sigma_b2, "exact")]
+            want = [exact_eta_mean(aw, sigma_b2) for aw in aws.tolist()]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_nan_kernel_names_ratio(self):
         # from a/W ~ 5e4 on the exact kernel is nan near the rim; at 2e5 it is

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
+from beamfade import ingest
 from beamfade.channel import (
     BeamGeometry,
     pdt_cdf,
@@ -173,6 +175,18 @@ def series_files(draw):
     return "".join(parts)
 
 
+def assert_agrees_with_loop(text, reference):
+    try:
+        expected = np.array(parse_series_loop(text, reference))
+    except ValueError as exc:
+        with pytest.raises(SeriesFormatError) as got:
+            parse_series(text, reference=reference)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_series(text, reference=reference).samples
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestParseSeriesOracle:
 
     @settings(max_examples=500, derandomize=True, deadline=None)
@@ -183,15 +197,43 @@ class TestParseSeriesOracle:
     @example(text="\x1f0.5\x1f\x850.25", reference=None)
     @example(text="1e300\n", reference=1e-300)
     def test_agrees_with_per_line_loop(self, text, reference):
+        assert_agrees_with_loop(text, reference)
+
+
+class TestParseSeriesPieces:
+    """The text is converted in pieces; pieces of a few characters change nothing."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=series_files(), piece_chars=st.integers(min_value=1, max_value=12),
+           reference=st.one_of(st.none(), st.sampled_from([0.5, 2.0])))
+    # the search for a cut starts on the CR of a CR LF
+    @example(text="0.5\r\n0.25\r\n0.75\r\n", piece_chars=4, reference=None)
+    # no LF at all: one piece
+    @example(text="0.5\r0.25\x850.75\u20280.125", piece_chars=2, reference=None)
+    # a bad line, or one out of band, in a later piece
+    @example(text="# c\n\n0.5\n0.25\n0.75\nabc\n", piece_chars=3, reference=None)
+    @example(text="0.5\r\n\r\n# c\r\n0.25\n1.5\n", piece_chars=1, reference=None)
+    def test_agrees_with_per_line_loop(self, text, piece_chars, reference):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_PIECE_CHARS", piece_chars)
+            pieces = list(ingest._pieces(text))
+            assert "".join(pieces) == text
+            assert [line for piece in pieces for line in piece.splitlines()] \
+                == text.splitlines()
+            assert_agrees_with_loop(text, reference)
+
+    def test_memory_per_sample(self):
+        # float64 pieces plus their concatenation are 16 B per sample; one
+        # Python str per line would cost about 87 B
+        n = 200_000
+        text = "%.17g\n" * n % tuple(np.random.default_rng(0).random(n).tolist())
+        tracemalloc.start()
         try:
-            expected = np.array(parse_series_loop(text, reference))
-        except ValueError as exc:
-            with pytest.raises(SeriesFormatError) as got:
-                parse_series(text, reference=reference)
-            assert str(got.value) == str(exc)
-        else:
-            got = parse_series(text, reference=reference).samples
-            assert got.tobytes() == expected.tobytes()
+            assert parse_series(text).count == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n + 2**20
 
 
 class TestTransmittanceSeries:
