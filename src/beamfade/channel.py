@@ -96,12 +96,14 @@ def _eta_exact(r, a_over_W):
     # 2 degrees of freedom, equal to 1 - Q_1(2r/w, 2/w) (Marcum Q)
     k = 4.0 * a_over_W * a_over_W
     # squares may overflow: an inf offset term gives 0 below, and k = inf
-    # (a/W beyond 1e154) a nan that the callers reject by name
-    with np.errstate(over="ignore", invalid="ignore"):
+    # (a/W beyond 1e154) a nan that the callers reject by name; k = 0 (a/W
+    # below 1e-162) divides to an infinite reach
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = chndtr(k, 2.0, k * np.square(r))
         # P(X_1 >= 1) bounds eta by exp(-k (r - 1)^2 / 2) / 2, which is 0 in
-        # float64 where k (r - 1)^2 > 1500; chndtr is nan there from k r^2 ~ 1e20
-        return np.where((r > 1.0) & (k * np.square(r - 1.0) > 1500.0), 0.0, eta)
+        # float64 beyond r = 1 + sqrt(1500 / k); chndtr is nan there from
+        # k r^2 ~ 1e20
+        return np.where(r > 1.0 + np.sqrt(np.true_divide(1500.0, k)), 0.0, eta)
 
 
 def _no_nan(eta, a_over_W):
@@ -139,7 +141,8 @@ def exact_eta_at_offset(r, a_over_W: float):
     Raises
     ------
     ArithmeticError
-        If the kernel returns nan, which it does near r = 1 from a/W ~ 5e4 on.
+        If the kernel returns nan, which it does near r = 1 from a/W ~ 5e4 on
+        and at every r <= 1 beyond a/W ~ 1e154, where (a/W)^2 overflows.
     """
     r = np.asarray(r, dtype=float)
     bad = r[~(np.isfinite(r) & (r >= 0))]
@@ -167,7 +170,7 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     """
     t0 = max_transmission_coefficient(a_over_W)
     k = 4.0 * a_over_W * a_over_W
-    eta1 = float(_eta_exact(1.0, a_over_W))
+    eta1 = float(chndtr(k, 2.0, k))  # the exact transmittance at the rim, r = 1
     g = math.log(t0**2 / eta1)
     d = k * float(i1e(k)) / eta1
     # G ~ 2 (a/W)^2 carries a relative error of about eps / G, so below 1e-12
