@@ -24,9 +24,21 @@ class QuadratureError(ArithmeticError):
     """A numerical rule gave no usable value: the moment rule met a nan
     transmittance, or the Weibull matching conditions degenerated."""
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
-        self.achieved = achieved
+
+def _require(name, x, ok, rule):
+    """Raise a ValueError naming `name` unless x is finite and ok holds.
+
+    ok is the range condition, evaluated by the caller.  Scalars skip numpy,
+    which would cost ten times the check; an array reports its first bad entry.
+    """
+    if isinstance(x, np.ndarray):
+        bad = ~(np.isfinite(x) & ok)
+        if not bad.any():
+            return
+        x = x[bad].flat[0]
+    elif ok and math.isfinite(x):
+        return
+    raise ValueError(f"{name} must be finite and {rule}, got {x}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +57,8 @@ class BeamGeometry:
     sigma_b2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a_over_W) and self.a_over_W > 0):
-            raise ValueError(f"a_over_W must be finite and > 0, got {self.a_over_W}")
-        if not (math.isfinite(self.sigma_b2) and self.sigma_b2 >= 0):
-            raise ValueError(f"sigma_b2 must be finite and >= 0, got {self.sigma_b2}")
+        _require("a_over_W", self.a_over_W, self.a_over_W > 0, "> 0")
+        _require("sigma_b2", self.sigma_b2, self.sigma_b2 >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -65,11 +75,9 @@ class WeibullParams:
     scale: float
 
     def __post_init__(self):
-        if not (0 < self.t0 <= 1):
-            raise ValueError(f"t0 must lie in (0, 1], got {self.t0}")
-        if not (0 < self.lam < math.inf and 0 < self.scale < math.inf):
-            raise ValueError(f"lam and scale must be finite and > 0, "
-                             f"got {self.lam}, {self.scale}")
+        _require("t0", self.t0, 0 < self.t0 <= 1, "in (0, 1]")
+        _require("lam", self.lam, self.lam > 0, "> 0")
+        _require("scale", self.scale, self.scale > 0, "> 0")
 
 
 def max_transmission_coefficient(a_over_W: float) -> float:
@@ -85,8 +93,7 @@ def max_transmission_coefficient(a_over_W: float) -> float:
     float
         t0 = sqrt(1 - exp(-2 (a/W)^2)), in (0, 1).
     """
-    if not (math.isfinite(a_over_W) and a_over_W > 0):
-        raise ValueError(f"a_over_W must be finite and > 0, got {a_over_W}")
+    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
     # a product, not **, so that a/W beyond 1e154 gives t0 = 1, not OverflowError
     return math.sqrt(-math.expm1(-2.0 * a_over_W * a_over_W))
 
@@ -145,11 +152,8 @@ def exact_eta_at_offset(r, a_over_W: float):
         and at every r <= 1 beyond a/W ~ 1e154, where (a/W)^2 overflows.
     """
     r = np.asarray(r, dtype=float)
-    bad = r[~(np.isfinite(r) & (r >= 0))]
-    if bad.size:
-        raise ValueError(f"offset r must be finite and >= 0, got {bad[0]}")
-    if not (math.isfinite(a_over_W) and a_over_W > 0):
-        raise ValueError(f"a_over_W must be finite and > 0, got {a_over_W}")
+    _require("offset r", r, r >= 0, ">= 0")
+    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
     out = _no_nan(_eta_exact(r, a_over_W), a_over_W)
     return out if out.ndim else float(out)
 
@@ -178,7 +182,7 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     if not (1e-12 <= g < math.inf and 0 < d < math.inf):
         raise QuadratureError(
             f"degenerate matching conditions at a_over_W={a_over_W}: "
-            f"G={g:.3e}, D={d:.3e}", achieved=math.nan)
+            f"G={g:.3e}, D={d:.3e}")
     lam = d / g
     return WeibullParams(t0=t0, lam=lam, scale=g ** (-1.0 / lam))
 
@@ -186,16 +190,17 @@ def weibull_params(a_over_W: float) -> WeibullParams:
 def eta_approx(r, params: WeibullParams):
     """Weibull-form transmittance t0^2 * exp(-(r/scale)**lam) at offset r."""
     r = np.asarray(r, dtype=float)
+    _require("offset r", r, r >= 0, ">= 0")
     # at large lam, (r/scale)**lam overflows to inf beyond the rim, where
     # exp(-inf) = 0 is the right transmittance
     with np.errstate(over="ignore"):
-        out = params.t0**2 * np.exp(-((r / params.scale) ** params.lam))
+        out = params.t0**2 * np.exp(-np.power(r / params.scale, params.lam))
     return out if out.ndim else float(out)
 
 
 def _offset_of_transmission(t, params: WeibullParams):
     """Inverse of T(r) = t0 exp(-(1/2)(r/scale)**lam) on (0, t0)."""
-    return params.scale * (2.0 * np.log(params.t0 / t)) ** (1.0 / params.lam)
+    return params.scale * np.power(2.0 * np.log(params.t0 / t), 1.0 / params.lam)
 
 
 def pdt_density(t, params: WeibullParams, sigma_b2: float):
@@ -222,23 +227,20 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     float or ndarray
         Density per unit T, >= 0.
     """
-    if not (math.isfinite(sigma_b2) and sigma_b2 > 0):
-        raise ValueError(f"sigma_b2 must be finite and > 0, got {sigma_b2}")
+    _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.zeros_like(t)
+    _require("t", t, True, "real")
     inside = (t > 0.0) & (t < params.t0)
-    if np.any(inside):
-        ti = t[inside]
-        u = 2.0 * np.log(params.t0 / ti)
-        r = params.scale * u ** (1.0 / params.lam)
-        rayleigh = (r / sigma_b2) * np.exp(-(r**2) / (2.0 * sigma_b2))
-        # |dr/dT| from the inverse map; diverges integrably at T -> t0 for lam > 1
-        with np.errstate(divide="ignore", over="ignore"):
-            jac = (2.0 * params.scale / (params.lam * ti)) * u ** (1.0 / params.lam - 1.0)
-        out[inside] = rayleigh * jac
-    return float(out[0]) if scalar else out
+    # a point inside stands in for t outside the support, where log(0) fails
+    t = np.where(inside, t, 0.5 * params.t0)
+    u = 2.0 * np.log(params.t0 / t)
+    r = params.scale * np.power(u, 1.0 / params.lam)
+    rayleigh = (r / sigma_b2) * np.exp(-np.square(r) / (2.0 * sigma_b2))
+    # |dr/dT| from the inverse map; diverges integrably at T -> t0 for lam > 1
+    with np.errstate(divide="ignore", over="ignore"):
+        jac = (2.0 * params.scale / (params.lam * t)) * np.power(u, 1.0 / params.lam - 1.0)
+    out = np.where(inside, rayleigh * jac, 0.0)
+    return out if out.ndim else float(out)
 
 
 def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
@@ -248,17 +250,14 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     it serves as an independent check on `pdt_density` and as the model side
     of distribution fitting.
     """
-    if not (math.isfinite(sigma_b2) and sigma_b2 > 0):
-        raise ValueError(f"sigma_b2 must be finite and > 0, got {sigma_b2}")
+    _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.where(t >= params.t0, 1.0, 0.0)
+    _require("t", t, True, "real")
     inside = (t > 0.0) & (t < params.t0)
-    if np.any(inside):
-        r = _offset_of_transmission(t[inside], params)
-        out[inside] = np.exp(-(r**2) / (2.0 * sigma_b2))
-    return float(out[0]) if scalar else out
+    r = _offset_of_transmission(np.where(inside, t, 0.5 * params.t0), params)
+    out = np.where(inside, np.exp(-np.square(r) / (2.0 * sigma_b2)),
+                   np.where(t >= params.t0, 1.0, 0.0))
+    return out if out.ndim else float(out)
 
 
 def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
@@ -290,8 +289,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
         If a/W is too large: the exact kernel is nan near r = 1 from about
         5e4, the Weibull fit from about 1.5e5.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _require("n (sample count)", n, n >= 1, ">= 1")
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     rng = np.random.default_rng(seed)

@@ -19,6 +19,7 @@ from .channel import (
     BeamGeometry,
     QuadratureError,
     _eta_exact,
+    _require,
     max_transmission_coefficient,
     weibull_params,
 )
@@ -142,7 +143,7 @@ def _moments(a_over_W, sigma_b2: float, model: str) -> list[FadingStats]:
         bad = np.flatnonzero(np.isnan(mean_t))
         if bad.size:
             raise QuadratureError("moment rule met a nan transmittance at "
-                                  f"a_over_W={aws[bad[0]]}", achieved=math.nan)
+                                  f"a_over_W={aws[bad[0]]}")
     # rounding can leave the rule an ulp outside <T>^2 <= <T^2> <= t0^2;
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
@@ -214,8 +215,7 @@ def fading_excess_noise(stats: FadingStats, v: float) -> float:
     V is the quadrature variance of the state entering the channel, in
     shot-noise units; the vacuum (V = 1) picks up no fading noise.
     """
-    if not (math.isfinite(v) and v >= 1.0):
-        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
+    _require("v (quadrature variance)", v, v >= 1.0, ">= 1 SNU")
     return stats.var_sqrt_eta * (v - 1.0)
 
 
@@ -227,9 +227,7 @@ def effective_channel(stats: FadingStats, v: float, epsilon: float) -> tuple[flo
     Var(sqrt(eta)) (V - 1) + T_eff * epsilon, where epsilon is the fixed
     excess noise referred to the channel input.
     """
-    if not (math.isfinite(v) and v >= 1.0):
-        raise ValueError(f"v (quadrature variance) must be finite and >= 1 SNU, got {v}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
+    noise = fading_excess_noise(stats, v)
+    _require("epsilon (excess noise)", epsilon, epsilon >= 0.0, ">= 0")
     t_eff = stats.sqrt_eta_mean**2
-    return t_eff, fading_excess_noise(stats, v) + t_eff * epsilon
+    return t_eff, noise + t_eff * epsilon

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .keyrate import V_MAX
+from .channel import _require
+from .keyrate import V_MAX, _entropy
 
 _EIG_TOL = 1e-9
 
@@ -48,12 +49,9 @@ class CovMat2:
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
+            _require(f"block {name}", m, True, "real")
             object.__setattr__(self, name, m)
         full = self.matrix
-        if not np.isfinite(full).all():
-            name, m = next((n, m) for n, m in zip("abc", (self.a, self.b, self.c))
-                           if not np.isfinite(m).all())
-            raise ValueError(f"block {name} must be finite, got {m.tolist()}")
         if not (np.allclose(self.a, self.a.T, atol=1e-10)
                 and np.allclose(self.b, self.b.T, atol=1e-10)):
             raise ValueError("mode blocks must be symmetric")
@@ -94,9 +92,8 @@ def tmsv(v: float) -> CovMat2:
     A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.  V must
     lie in [1, V_MAX], the state variances the key-rate kernels accept.
     """
-    if not 1.0 <= v <= V_MAX:
-        raise ValueError(
-            f"v (quadrature variance) must lie in [1, {V_MAX:g}] SNU, got {v}")
+    _require("v (quadrature variance)", v, 1.0 <= v <= V_MAX,
+             f"in [1, {V_MAX:g}] SNU")
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))
@@ -114,8 +111,7 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     + <sqrt(eta)>^2 epsilon on the diagonal; correlations scale with
     <sqrt(eta)>; mode 1 is untouched.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon (excess noise) must be finite and >= 0, got {epsilon}")
+    _require("epsilon (excess noise)", epsilon, epsilon >= 0.0, ">= 0")
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c
@@ -150,15 +146,13 @@ def log_negativity(cm: CovMat2) -> float:
 def entropy_g(nu: float) -> float:
     """Entropy of a thermal mode with symplectic eigenvalue nu, in bits.
 
-    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), g(1) = 0.
+    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), g(1) = 0,
+    as the one-point call of the key-rate kernel `keyrate._entropy`, which
+    sums non-negative terms and so stays finite and accurate up to 1e308.
+    nu down to 1 - 1e-9 (a pure mode, up to rounding) gives 0.
     """
-    if nu < 1.0 - _EIG_TOL:
-        raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu}")
-    if nu <= 1.0:
-        return 0.0
-    up = (nu + 1.0) / 2.0
-    dn = (nu - 1.0) / 2.0
-    return up * math.log2(up) - dn * math.log2(dn)
+    _require("nu (symplectic eigenvalue)", nu, nu >= 1.0 - _EIG_TOL, ">= 1")
+    return float(_entropy(nu))
 
 
 def von_neumann_entropy(cm: CovMat2) -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _require
 from .fading import FadingStats
 
 V_SEARCH_MAX = 1e3
@@ -40,11 +41,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_noise_and_efficiency(epsilon, beta):
-    if not 0.0 <= epsilon <= EPSILON_MAX:
-        raise ValueError(f"epsilon (excess noise) must lie in "
-                         f"[0, {EPSILON_MAX:g}] SNU, got {epsilon}")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    _require("epsilon (excess noise)", epsilon, 0.0 <= epsilon <= EPSILON_MAX,
+             f"in [0, {EPSILON_MAX:g}] SNU")
+    _require("beta", beta, 0.0 < beta <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,8 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        if not 1.0 <= self.v <= V_MAX:
-            raise ValueError(
-                f"v (state variance) must lie in [1, {V_MAX:g}] SNU, got {self.v}")
+        _require("v (state variance)", self.v, 1.0 <= self.v <= V_MAX,
+                 f"in [1, {V_MAX:g}] SNU")
         _check_noise_and_efficiency(self.epsilon, self.beta)
 
 

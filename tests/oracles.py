@@ -9,7 +9,8 @@ Hermitian eigensolver on i L^T Omega L; `symplectic_eigs_iomega` runs the
 general (non-Hermitian) eigensolver on i Omega gamma itself, and
 `holevo_scalar` takes the closed-form determinant invariants.  Agreement is
 then evidence, not tautology.  `holevo_decimal` evaluates those invariants in
-40-digit decimal arithmetic, where their cancellation costs nothing.
+40-digit decimal arithmetic, where their cancellation costs nothing, and
+`entropy_decimal` takes g(nu) from its defining formula the same way.
 
 One exception: the exact branches of `eta_of_offset` and `fading_moments`
 use `scipy.stats.ncx2.cdf`, which (scipy 1.17) evaluates
@@ -94,6 +95,22 @@ def holevo_scalar(v, epsilon, eta_mean, sqrt_eta_mean):
     return _g(nu1) + _g(nu2) - _g(nu_cond)
 
 
+def entropy_decimal(nu):
+    """g(nu) in bits from its defining formula, in decimal arithmetic.
+
+    The two terms of g are each about (nu/2) log2(nu) and cancel to about
+    log2(nu), so the precision is 40 digits plus the log10(nu) digits the
+    cancellation costs.  Returns a Decimal.
+    """
+    with localcontext() as ctx:
+        nu = Decimal(nu)
+        ctx.prec = 40 + max(nu.adjusted(), 0)
+        if nu <= 1:
+            return Decimal(0)
+        up, dn = (nu + 1) / 2, (nu - 1) / 2
+        return (up * up.ln() - dn * dn.ln()) / Decimal(2).ln()
+
+
 def holevo_decimal(v, epsilon, eta_mean, sqrt_eta_mean):
     """Holevo bound of the faded TMSV from the invariants, to 40 digits.
 
@@ -117,13 +134,7 @@ def holevo_decimal(v, epsilon, eta_mean, sqrt_eta_mean):
         delta = v * v + b * b - 2 * c_sq
         nu1 = ((delta + max(delta * delta - 4 * det * det, Decimal(0)).sqrt())
                / 2).sqrt()
-
-        def g(nu):
-            if nu <= 1:
-                return Decimal(0)
-            up, dn = (nu + 1) / 2, (nu - 1) / 2
-            return (up * up.ln() - dn * dn.ln()) / Decimal(2).ln()
-
+        g = entropy_decimal
         chi = g(nu1) + g(det / nu1) - g((v * det / b).sqrt())
         return float(chi)
 

@@ -25,6 +25,12 @@ from oracles import eta_disc_2d, eta_of_offset, weibull_closed_form
 
 AW_GRID = [0.5, 1.0, 1.5, 2.0]
 
+# the two transmittance kernels over offsets, each called as eta(r, a_over_W)
+ETA_KERNELS = [
+    pytest.param(exact_eta_at_offset, id="exact"),
+    pytest.param(lambda r, aw: eta_approx(r, weibull_params(aw)), id="approx"),
+]
+
 
 class TestMaxTransmissionCoefficient:
 
@@ -45,6 +51,11 @@ class TestMaxTransmissionCoefficient:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_ratio(self, bad):
         with pytest.raises(ValueError):
+            max_transmission_coefficient(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_ratio(self, bad):
+        with pytest.raises(ValueError, match="^a_over_W "):
             max_transmission_coefficient(bad)
 
 
@@ -96,21 +107,28 @@ class TestExactEta:
                 else:
                     assert got == pytest.approx(ref, abs=1e-12), (r, aw)
 
-    def test_array_matches_scalar_calls(self):
+    @pytest.mark.parametrize("eta", ETA_KERNELS)
+    def test_array_matches_scalar_calls(self, eta):
         offsets = np.linspace(0.0, 3.0, 30).reshape(3, 10)
         for aw in (0.3, 1.0, 4.0):
-            vals = exact_eta_at_offset(offsets, aw)
+            vals = eta(offsets, aw)
             assert vals.shape == offsets.shape
-            scalars = [exact_eta_at_offset(float(r), aw) for r in offsets.flat]
+            scalars = [eta(float(r), aw) for r in offsets.flat]
             assert all(isinstance(x, float) for x in scalars)
             assert np.array_equal(vals.ravel(), scalars)
 
+    @pytest.mark.parametrize("eta", ETA_KERNELS)
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
-    def test_array_with_one_bad_offset_rejected(self, bad):
+    def test_array_with_one_bad_offset_rejected(self, bad, eta):
         offsets = np.linspace(0.0, 2.0, 9)
         offsets[4] = bad
         with pytest.raises(ValueError, match="offset r"):
-            exact_eta_at_offset(offsets, 1.0)
+            eta(offsets, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_ratio(self, bad):
+        with pytest.raises(ValueError, match="^a_over_W "):
+            exact_eta_at_offset(0.5, bad)
 
     def test_noncentral_chi2_oracle(self):
         # the oracle's ncx2.cdf calls the same scipy routine as the library,
@@ -308,6 +326,11 @@ class TestPdtDensity:
         with pytest.raises(ValueError, match="sigma_b2"):
             pdt_density(0.5, weibull_params(1.0), bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match=rf"^t .*got {bad}$"):
+            pdt_density(np.array([0.5, bad, math.nan]), weibull_params(1.0), 0.3)
+
     def test_moments_match_sampler(self):
         # density route vs Monte-Carlo route for <T> and <T^2>
         params = weibull_params(1.0)
@@ -347,6 +370,11 @@ class TestPdtCdf:
     def test_rejects_non_finite_variance(self, bad):
         with pytest.raises(ValueError, match="sigma_b2"):
             pdt_cdf(0.5, weibull_params(1.0), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match=rf"^t .*got {bad}$"):
+            pdt_cdf(np.array([0.5, bad, math.nan]), weibull_params(1.0), 0.3)
 
 
 class TestSampler:
@@ -388,6 +416,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_transmittance(geom, seed=1, n=10, model="other")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_count(self, bad):
+        with pytest.raises(ValueError, match="^n "):
+            sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=bad)
+
 
 class TestRatioBeyondKernel:
     # from a/W ~ 5e4 on, chndtr is nan in a band of offsets around r = 1;
@@ -422,3 +455,11 @@ class TestBeamGeometry:
             BeamGeometry(1.0, -0.1)
         with pytest.raises(ValueError):
             BeamGeometry(math.inf, 0.3)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("a_over_W", dict(a_over_W=math.nan, sigma_b2=0.3)),
+        ("sigma_b2", dict(a_over_W=1.0, sigma_b2=math.inf)),
+    ])
+    def test_rejects_non_finite_fields(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            BeamGeometry(**kwargs)

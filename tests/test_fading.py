@@ -256,7 +256,7 @@ class TestAnalyticMoments:
             return np.where(a_over_W > 5.0, np.nan, _eta_exact(r, a_over_W))
 
         monkeypatch.setattr("beamfade.fading._eta_exact", nan_above_five)
-        with pytest.raises(QuadratureError, match=r"a_over_W=6\.0 "):
+        with pytest.raises(QuadratureError, match=r"a_over_W=6\.0$"):
             _moments(np.array([1.0, 6.0, 8.0]), 0.3, "exact")
 
 

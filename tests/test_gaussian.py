@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamfade.fading import FadingStats, analytic_moments
 from beamfade.channel import BeamGeometry
@@ -20,7 +22,7 @@ from beamfade.gaussian import (
 )
 from beamfade.keyrate import V_GRID_POINTS, V_MAX, V_SEARCH_MAX, V_SEARCH_MIN
 
-from oracles import symplectic_eigs_iomega
+from oracles import entropy_decimal, symplectic_eigs_iomega
 
 REF_STATS = analytic_moments(BeamGeometry(1.0, 0.3))
 
@@ -254,6 +256,23 @@ class TestEntropyG:
         with pytest.raises(ValueError):
             entropy_g(0.999999)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^nu "):
+            entropy_g(bad)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(nu=st.floats(min_value=1.0 + 1e-15, max_value=1e308))
+    @example(nu=1.0 + 1e-15)
+    @example(nu=1.0 + 1e-12)
+    @example(nu=1e17)
+    @example(nu=1e308)
+    def test_decimal_oracle(self, nu):
+        # the textbook difference up log2(up) - dn log2(dn) cancels to 0 from
+        # nu ~ 1e16, overflows to nan from 1e306 and is 0.55% off at 1 + 1e-12
+        assert entropy_g(nu) == pytest.approx(float(entropy_decimal(nu)),
+                                              rel=1e-15)
+
 
 class TestVonNeumannEntropy:
 
@@ -264,6 +283,12 @@ class TestVonNeumannEntropy:
     def test_thermal_times_vacuum(self):
         cm = CovMat2(a=3.0 * np.eye(2), b=np.eye(2))
         assert von_neumann_entropy(cm) == pytest.approx(2.0, abs=1e-12)
+
+    def test_large_thermal_state(self):
+        # two thermal modes of nu = 1e17, 56.9 bits each
+        cm = CovMat2.from_matrix(1e17 * np.eye(4))
+        assert von_neumann_entropy(cm) == pytest.approx(113.83094530794824,
+                                                        rel=1e-14)
 
 
 class TestConditionOnHomodyne:

@@ -63,6 +63,7 @@ class TestProtocolParams:
     @pytest.mark.parametrize("field, kwargs", [
         ("v", dict(v=math.nan)),
         ("epsilon", dict(v=7.0, epsilon=math.inf)),
+        ("beta", dict(v=7.0, beta=math.nan)),
     ])
     def test_rejects_non_finite_fields(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
