@@ -289,7 +289,8 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
         If a/W is too large: the exact kernel is nan near r = 1 from about
         5e4, the Weibull fit from about 1.5e5.
     """
-    _require("n (sample count)", n, n >= 1, ">= 1")
+    _require("n (sample count)", n, isinstance(n, (int, np.integer))
+             and not isinstance(n, bool) and n >= 1, "an integer >= 1")
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     rng = np.random.default_rng(seed)

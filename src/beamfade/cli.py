@@ -169,20 +169,14 @@ def _read_series(args):
 def _sweep(args):
     """The moments of every geometry of a sweep, one moment-rule call per sigma_b2.
 
-    Returns one (sigma_b2, [(a/W, FadingStats), ...]) block per sigma_b2.
+    Returns one (sigma_b2, a/W, <eta>, <sqrt(eta)>) block per sigma_b2, the
+    last three as arrays over the a/W grid.
     """
     if not args.aw_max > args.aw_min:
         raise ValueError("aw_max must exceed aw_min")
     grid = np.linspace(args.aw_min, args.aw_max, args.steps)
-    return [(s2, list(zip(grid, _moments(grid, s2, args.model))))
+    return [(s2, grid, *_moments(grid, s2, args.model)[:2])
             for s2 in args.sigma_b2 or (0.3,)]
-
-
-def _columns(block):
-    """a/W, <eta> and <sqrt(eta)> of a sweep block, as arrays for the kernels."""
-    return (np.array([aw for aw, _ in block]),
-            np.array([stats.eta_mean for _, stats in block]),
-            np.array([stats.sqrt_eta_mean for _, stats in block]))
 
 
 def cmd_stats(args) -> int:
@@ -197,8 +191,9 @@ def cmd_stats(args) -> int:
 
 def cmd_curve(args) -> int:
     header = ("a_over_W", "sigma_b2", "eta_mean", "sqrt_eta_mean", "var_sqrt_eta")
-    rows = [(aw, s2, stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta)
-            for s2, block in _sweep(args) for aw, stats in block]
+    rows = [(aw, s2, m2, m1, max(m2 - m1**2, 0.0))  # m1**2 may round above m2
+            for s2, grid, *block in _sweep(args)
+            for aw, m2, m1 in zip(grid, *(x.tolist() for x in block))]
     _emit(header, rows, args.out)
     return 0
 
@@ -207,8 +202,7 @@ def cmd_ln_curve(args) -> int:
     variances = args.ln0 or args.variance or (7.0,)
     header = ("a_over_W", "sigma_b2", "V", "LN")
     rows = []
-    for s2, block in _sweep(args):
-        aw, eta_mean, sqrt_eta_mean = _columns(block)
+    for s2, aw, eta_mean, sqrt_eta_mean in _sweep(args):
         for v in variances:
             ln = _log_negativity(v, eta_mean, sqrt_eta_mean, args.excess_noise)
             rows.extend((a, s2, v, x) for a, x in zip(aw, ln))
@@ -221,8 +215,7 @@ def cmd_kr_curve(args) -> int:
     if not args.clamp:
         header.append("KR_clamped")
     rows = []
-    for s2, block in _sweep(args):
-        aw, eta_mean, sqrt_eta_mean = _columns(block)
+    for s2, aw, eta_mean, sqrt_eta_mean in _sweep(args):
         v = np.full(aw.shape, args.variance)
         if args.optimize:
             v = _optimize(eta_mean, sqrt_eta_mean, args.excess_noise, args.beta)[0]

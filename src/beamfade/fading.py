@@ -98,13 +98,14 @@ def _panel_edges(lo, hi):
     return np.where(j < 0, left, np.where(j <= _WINDOW_PANELS, window, right))
 
 
-def _moments(a_over_W, sigma_b2: float, model: str) -> list[FadingStats]:
-    """Moment triples of several a/W at one sigma_b2 >= 0, by the fixed rule.
+def _moments(a_over_W, sigma_b2: float, model: str):
+    """Moments of several a/W at one sigma_b2 >= 0, by the fixed rule.
 
     The rule (see the constants above) runs as one (a/W x node) array
     program, so a sweep costs one call per sigma_b2; `analytic_moments` is
-    the call for one geometry.  Raises QuadratureError naming the first a/W
-    at which the exact transmittance is nan.
+    the call for one geometry.  Returns the arrays <eta>, <sqrt(eta)> and
+    eta_max over a/W, clamped to <sqrt(eta)>^2 <= <eta> <= eta_max.  Raises
+    QuadratureError naming the first a/W at which the exact kernel is nan.
     """
     aws = np.asarray(a_over_W, dtype=float).tolist()
     t0 = np.array([max_transmission_coefficient(a) for a in aws])
@@ -148,10 +149,7 @@ def _moments(a_over_W, sigma_b2: float, model: str) -> list[FadingStats]:
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
     mean_t2 = np.minimum(np.maximum(mean_t2, mean_t**2), t0**2)
-    return [FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1**2,
-                        eta_max=e)
-            for m1, m2, e in zip(mean_t.tolist(), mean_t2.tolist(),
-                                 (t0**2).tolist())]
+    return mean_t2, mean_t, t0**2
 
 
 def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingStats:
@@ -179,7 +177,10 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     """
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
-    return _moments([geometry.a_over_W], geometry.sigma_b2, model)[0]
+    m2, m1, e = (x.item() for x in _moments([geometry.a_over_W],
+                                            geometry.sigma_b2, model))
+    return FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1**2,
+                       eta_max=e)
 
 
 def empirical_moments(samples) -> FadingStats:

@@ -223,12 +223,6 @@ class FitResult:
     boundary: bool = False
 
 
-def _cdf_distance(empirical: np.ndarray, t_grid: np.ndarray,
-                  sigma_b2: float, a_over_W: float) -> float:
-    model = pdt_cdf(t_grid, weibull_params(a_over_W), sigma_b2)
-    return float(np.mean((empirical - model) ** 2))
-
-
 def fit_geometry(series: TransmittanceSeries) -> FitResult:
     """Fit (sigma_b2, a_over_W) to a series by empirical-CDF distance.
 
@@ -265,7 +259,8 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
 
     def objective(x):
-        return _cdf_distance(empirical, t_grid, x[0], x[1])
+        model = pdt_cdf(t_grid, weibull_params(x[1]), x[0])
+        return float(np.mean((empirical - model) ** 2))
 
     best = None
     for start in _FIT_STARTS:

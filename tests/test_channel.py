@@ -416,7 +416,7 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_transmittance(geom, seed=1, n=10, model="other")
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 3.0, True])
     def test_rejects_non_finite_count(self, bad):
         with pytest.raises(ValueError, match="^n "):
             sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=bad)

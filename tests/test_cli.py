@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import beamfade
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
-from beamfade.cli import main
+from beamfade.cli import _fmt, main
 from beamfade.fading import _moments, analytic_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
@@ -221,6 +221,24 @@ class TestCurve:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_every_column_is_the_library_triple(self, capsys, model):
+        # sigma_b2 = 0 takes the branch of the moment rule that returns t0;
+        # at a/W = 0.063543 and 0.231259, t0**2 rounds above t0 * t0, so
+        # Var(sqrt(eta)) there is the floor at 0 that FadingStats applies
+        code, out, _ = run(capsys, "curve", "--aw-min", "0.063543",
+                           "--aw-max", "0.231259", "--steps", "2",
+                           "--sigma-b2", "0", "--sigma-b2", "0.3",
+                           "--model", model)
+        assert code == 0
+        _, rows = rows_of(out)
+        assert len(rows) == 4
+        for row in rows:
+            stats = analytic_moments(
+                BeamGeometry(float(row[0]), float(row[1])), model=model)
+            assert row[2:] == [_fmt(stats.eta_mean), _fmt(stats.sqrt_eta_mean),
+                               _fmt(stats.var_sqrt_eta)]
 
 
 class TestLnCurve:
@@ -466,6 +484,19 @@ class TestPipeline:
         assert header == ["sigma_b2", "a_over_W", "gof", "n"]
         assert float(rows[0][0]) == pytest.approx(0.3, rel=0.05)
         assert float(rows[0][1]) == pytest.approx(1.0, rel=0.05)
+
+    def test_fit_on_the_boundary_warns(self, tmp_path, capsys):
+        # sigma_b2 = 3 lies beyond the search domain, whose edge is 2
+        data = tmp_path / "wide.txt"
+        code, _, _ = run(capsys, "sample", "--aw", "1", "--sigma-b2", "3",
+                         "--samples", "20000", "--seed", "13",
+                         "--out", str(data))
+        assert code == 0
+        code, out, err = run(capsys, "fit", str(data))
+        assert code == 0
+        assert "warning: fit stopped on the search-domain boundary" in err
+        _, rows = rows_of(out)
+        assert rows[0][0] == "2"
 
 
 class TestStartUp:

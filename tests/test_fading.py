@@ -165,11 +165,12 @@ class TestAnalyticMoments:
         # to strong wandering
         for s2 in (1e-4, 1e-2, 0.3, 2.0):
             grid = np.geomspace(0.05, 50.0, 6)
-            for aw, stats in zip(grid, _moments(grid, s2, model)):
+            got = zip(grid, *_moments(grid, s2, model))
+            for aw, got_mean, got_sqrt_mean, _ in got:
                 eta_mean, sqrt_eta_mean = fading_moments(aw, s2, model)
-                assert stats.eta_mean == pytest.approx(
+                assert got_mean == pytest.approx(
                     eta_mean, abs=ORACLE_TRAPEZOID_TOL)
-                assert stats.sqrt_eta_mean == pytest.approx(
+                assert got_sqrt_mean == pytest.approx(
                     sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
 
     @pytest.mark.parametrize("s2", [0.3, 2.0])
@@ -179,11 +180,12 @@ class TestAnalyticMoments:
         # refined window must hold; ending it at s* + 6/p put 1e-7 of
         # <sqrt(eta)> into the wide panels at a/W = 200
         grid = np.array([100.0, 200.0, 500.0])
-        for aw, stats in zip(grid, _moments(grid, s2, "exact")):
+        got = zip(grid, *_moments(grid, s2, "exact"))
+        for aw, got_mean, got_sqrt_mean, _ in got:
             eta_mean, sqrt_eta_mean = fading_moments(aw, s2, "exact")
-            assert stats.eta_mean == pytest.approx(
+            assert got_mean == pytest.approx(
                 eta_mean, abs=ORACLE_TRAPEZOID_TOL)
-            assert stats.sqrt_eta_mean == pytest.approx(
+            assert got_sqrt_mean == pytest.approx(
                 sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
@@ -194,7 +196,9 @@ class TestAnalyticMoments:
         grid = np.concatenate([np.linspace(0.3, 3.0, 31), [0.05, 50.0]])
         per_geometry = [analytic_moments(BeamGeometry(aw, s2), model=model)
                         for aw in grid]
-        assert _moments(grid, s2, model) == per_geometry
+        rows = zip(*(x.tolist() for x in _moments(grid, s2, model)))
+        assert [FadingStats(m2, m1, m2 - m1**2, e)
+                for m2, m1, e in rows] == per_geometry
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
     @pytest.mark.parametrize("aw", [0.3, 1.0, 3.0])
@@ -237,7 +241,7 @@ class TestAnalyticMoments:
         # over the rule's validated range; measured within 8e-16
         aws = np.geomspace(0.01, 300.0, 9)
         for sigma_b2 in np.geomspace(1e-12, 1e3, 8).tolist():
-            got = [stats.eta_mean for stats in _moments(aws, sigma_b2, "exact")]
+            got = _moments(aws, sigma_b2, "exact")[0].tolist()
             want = [exact_eta_mean(aw, sigma_b2) for aw in aws.tolist()]
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
