@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, i1e
 
 
 class QuadratureError(ArithmeticError):
@@ -101,6 +100,7 @@ def max_transmission_coefficient(a_over_W: float) -> float:
 def _eta_exact(r, a_over_W):
     # P(|X| <= 1) for X ~ N(r, w^2/4 I), w = W/a: a noncentral chi^2 CDF with
     # 2 degrees of freedom, equal to 1 - Q_1(2r/w, 2/w) (Marcum Q)
+    from scipy.special import chndtr  # here: it doubles any command's start-up
     k = 4.0 * a_over_W * a_over_W
     # squares may overflow: an inf offset term gives 0 below, and k = inf
     # (a/W beyond 1e154) a nan that the callers reject by name; k = 0 (a/W
@@ -158,6 +158,53 @@ def exact_eta_at_offset(r, a_over_W: float):
     return out if out.ndim else float(out)
 
 
+def _rim(k):
+    """(eta(1), k i1e(k), t0^2 - eta(1)) at the rim r = 1, for k = 4 (a/W)^2.
+
+    Q_1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2 (Vasylyev, Semenov & Vogel, PRL
+    108, 220501, 2012).  Below k = 22 one loop sums I1(k) and B = I0(k) - 1 =
+    sum_{m>=1} (k/2)^(2m) / (m!)^2: 2 e^k eta(1) = expm1(k) - B loses under a
+    bit (B <= expm1(k)/4), 2 e^k (t0^2 - eta(1)) = expm1(k/2)^2 + B none.  Above,
+    Hankel's series of i0e and i1e, terms prod_{i<=j} (4 nu^2 - (2i-1)^2) / (-8k i),
+    meets a term <= 2^-56 of its sum, where each loop stops, before j ~ 2k.
+    """
+    if k < 22.0:
+        term, b, i1, m = 1.0, 0.0, 0.5 * k, 0
+        while term > 2.0**-56 * b:
+            m += 1
+            term *= 0.25 * k * k / (m * m)
+            b += term
+            i1 += 0.5 * k * term / (m + 1)
+        e = math.exp(-k)
+        return (0.5 * e * (math.expm1(k) - b), k * e * i1,
+                0.5 * e * (math.expm1(0.5 * k) ** 2 + b))
+    # the nu = 1 terms are the nu = 0 terms times -(2j+1)/(2j-1)
+    term, s0, s1, j = 1.0, 1.0, 1.0, 0
+    while term > 2.0**-56 * s1 and j < 2.0 * k:
+        j += 1
+        term *= (2 * j - 1) ** 2 / (8.0 * k * j)
+        s0 += term
+        s1 -= term * (2 * j + 1) / (2 * j - 1)
+    i0e = s0 / math.sqrt(2.0 * math.pi * k)
+    return (0.5 * (1.0 - i0e), math.sqrt(k / (2.0 * math.pi)) * s1,
+            0.5 * (1.0 + i0e) - math.exp(-0.5 * k))
+
+
+def _weibull(a_over_W):
+    """(t0, lam, scale) of `weibull_params`, for an a/W checked by the caller."""
+    k = 4.0 * a_over_W * a_over_W
+    eta1, slope, gap = _rim(k)
+    # the gap, about (a/W)^4, leaves the normal floats below a/W ~ 8.6e-78, and
+    # k overflows to an infinite slope above a/W ~ 6.7e153
+    if not (2.0**-1022 <= gap and slope < math.inf):
+        raise QuadratureError(
+            f"degenerate matching conditions at a_over_W={a_over_W}: "
+            f"rim gap {gap:.3e}, rim slope {slope:.3e}")
+    g = math.log1p(gap / eta1)
+    lam = slope / eta1 / g
+    return math.sqrt(-math.expm1(-0.5 * k)), lam, g ** (-1.0 / lam)
+
+
 def weibull_params(a_over_W: float) -> WeibullParams:
     """Fit the Weibull-form approximation to the exact clipping transmittance.
 
@@ -170,21 +217,13 @@ def weibull_params(a_over_W: float) -> WeibullParams:
 
     With k = 4 (a/W)^2, dQ_M(a, b)/da = a (Q_{M+1} - Q_M) gives
     d eta_exact / dr = -k exp(-k (r^2 + 1) / 2) I1(k r), so the rim slope is
-    -k i1e(k).
+    -k i1e(k).  `_rim` sums both, and t0^2 - eta_exact(1) for G by log1p, as
+    power series below k = 22 and Hankel's series above, so lam -> 2 as
+    a/W -> 0.  Raises QuadratureError naming a_over_W below about 8.6e-78
+    and above about 6.7e153, where those sums leave the float range.
     """
-    t0 = max_transmission_coefficient(a_over_W)
-    k = 4.0 * a_over_W * a_over_W
-    eta1 = float(chndtr(k, 2.0, k))  # the exact transmittance at the rim, r = 1
-    g = math.log(t0**2 / eta1)
-    d = k * float(i1e(k)) / eta1
-    # G ~ 2 (a/W)^2 carries a relative error of about eps / G, so below 1e-12
-    # (a/W ~ 7e-7) lam drifts from 2 and G**(-1/lam) overflows
-    if not (1e-12 <= g < math.inf and 0 < d < math.inf):
-        raise QuadratureError(
-            f"degenerate matching conditions at a_over_W={a_over_W}: "
-            f"G={g:.3e}, D={d:.3e}")
-    lam = d / g
-    return WeibullParams(t0=t0, lam=lam, scale=g ** (-1.0 / lam))
+    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
+    return WeibullParams(*_weibull(a_over_W))
 
 
 def eta_approx(r, params: WeibullParams):
@@ -287,7 +326,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     ------
     ArithmeticError
         If a/W is too large: the exact kernel is nan near r = 1 from about
-        5e4, the Weibull fit from about 1.5e5.
+        5e4, the Weibull fit from about 6.7e153, where 4 (a/W)^2 overflows.
     """
     _require("n (sample count)", n, isinstance(n, (int, np.integer))
              and not isinstance(n, bool) and n >= 1, "an integer >= 1")

@@ -191,7 +191,7 @@ def cmd_stats(args) -> int:
 
 def cmd_curve(args) -> int:
     header = ("a_over_W", "sigma_b2", "eta_mean", "sqrt_eta_mean", "var_sqrt_eta")
-    rows = [(aw, s2, m2, m1, max(m2 - m1**2, 0.0))  # m1**2 may round above m2
+    rows = [(aw, s2, m2, m1, m2 - m1 * m1)  # the clamp gives m2 >= m1 * m1
             for s2, grid, *block in _sweep(args)
             for aw, m2, m1 in zip(grid, *(x.tolist() for x in block))]
     _emit(header, rows, args.out)

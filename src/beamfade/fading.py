@@ -20,8 +20,8 @@ from .channel import (
     QuadratureError,
     _eta_exact,
     _require,
+    _weibull,
     max_transmission_coefficient,
-    weibull_params,
 )
 
 # The moment rule: <T^n> is the integral of exp(-u) u T^n over s = ln u,
@@ -65,7 +65,7 @@ class FadingStats:
     eta_max: float
 
     def __post_init__(self):
-        identity = self.eta_mean - self.sqrt_eta_mean**2
+        identity = self.eta_mean - self.sqrt_eta_mean * self.sqrt_eta_mean
         if abs(self.var_sqrt_eta - identity) > 1e-9:
             raise ValueError(
                 f"var_sqrt_eta={self.var_sqrt_eta} violates the moment identity "
@@ -111,15 +111,12 @@ def _moments(a_over_W, sigma_b2: float, model: str):
     t0 = np.array([max_transmission_coefficient(a) for a in aws])
     mean_t, mean_t2 = t0, t0 * t0
     if sigma_b2 > 0:
-        if model == "approx":
-            params = [weibull_params(a) for a in aws]
-            r_star = np.array([q.scale for q in params])
-        else:
-            # lam only places the window; it is 2 to 1e-10 below a/W = 1e-3,
-            # and the matching conditions lose their digits below about 7e-7
-            params = [weibull_params(max(a, 1e-3)) for a in aws]
-            r_star = np.ones(len(aws))
-        lam = np.array([q.lam for q in params])
+        # for the exact model lam only places the window, and it is 2 to an
+        # ulp below a/W = 1e-3; the floor keeps it clear of the matching's
+        # float limit near a/W = 8.6e-78
+        _, lam, scale = np.array([_weibull(a if model == "approx" else max(a, 1e-3))
+                                  for a in aws]).T
+        r_star = scale if model == "approx" else np.ones(len(aws))
         p = np.maximum(lam / 2.0, 1.0)
         s_star = 2.0 * np.log(r_star) - math.log(2.0 * sigma_b2)
         edges = _panel_edges(np.clip(s_star + _WINDOW[0] / p, _S_LO, _S_HI),
@@ -135,7 +132,11 @@ def _moments(a_over_W, sigma_b2: float, model: str):
             if model == "approx":
                 t = t0[:, None] * np.exp(-0.5 * np.exp(0.5 * lam[:, None] * x))
             else:
-                t = np.sqrt(_eta_exact(np.exp(0.5 * x), np.array(aws)[:, None]))
+                # from a/W ~ 1.5e5 the kernel is nan at the rim itself, which the
+                # rule's nodes would take seconds per geometry to find
+                t = np.sqrt(_eta_exact(1.0, np.array(aws)))[:, None]
+                if not np.isnan(t).any():
+                    t = np.sqrt(_eta_exact(np.exp(0.5 * x), np.array(aws)[:, None]))
         # T is monotone, so the mass below u = 1e-14 sees about the T of the
         # lowest node: t0 when the rim lies far above, 0 when far below
         below = -math.expm1(-_U_LO) * t[:, 0]
@@ -179,7 +180,7 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     m2, m1, e = (x.item() for x in _moments([geometry.a_over_W],
                                             geometry.sigma_b2, model))
-    return FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1**2,
+    return FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1 * m1,
                        eta_max=e)
 
 
@@ -206,7 +207,7 @@ def empirical_moments(samples) -> FadingStats:
     eta_mean = float(eta.mean())
     sqrt_eta_mean = float(np.sqrt(eta).mean())
     return FadingStats(eta_mean=eta_mean, sqrt_eta_mean=sqrt_eta_mean,
-                       var_sqrt_eta=eta_mean - sqrt_eta_mean**2,
+                       var_sqrt_eta=eta_mean - sqrt_eta_mean * sqrt_eta_mean,
                        eta_max=float(eta.max()))
 
 

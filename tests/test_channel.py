@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import chndtr, i1e
 
 from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
     WeibullParams,
+    _rim,
     eta_approx,
     exact_eta_at_offset,
     max_transmission_coefficient,
@@ -192,7 +194,7 @@ class TestExactEtaProperties:
     def test_wide_beam_shape_is_gaussian(self, aw):
         # a beam much wider than the aperture clips like exp(-(r/scale)^2);
         # the rim value (1 - i0e(k)) / 2 cancels here and would give ~3
-        assert weibull_params(aw).lam == pytest.approx(2.0, abs=1e-6)
+        assert weibull_params(aw).lam == pytest.approx(2.0, abs=1e-12)
 
 
 class TestWeibullParams:
@@ -240,12 +242,34 @@ class TestWeibullParams:
         assert worst <= 0.25
 
     @pytest.mark.parametrize("cast", [float, np.float64])
-    @pytest.mark.parametrize("aw", [3e-8, 1.0115794542599003e-09])
+    @pytest.mark.parametrize("aw", [3e-8, 1.0115794542599003e-09, 1e-77])
+    def test_narrow_aperture_limit(self, aw, cast):
+        # a beam far wider than the aperture clips as exp(-2 (a/W)^2 r^2), so
+        # lam -> 2 and scale -> (2 (a/W)^2)^(-1/2), up to O((a/W)^2)
+        params = weibull_params(cast(aw))
+        assert params.lam == pytest.approx(2.0, abs=1e-12)
+        assert params.scale == pytest.approx((2.0 * aw * aw) ** -0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("aw", [1e-81, 1e-170, 1e-300])
     def test_degenerate_matching_raises(self, aw, cast):
-        # G ~ 2 (a/W)^2 has lost its digits here (lam = 1.80 at 3e-8), and
-        # at 1.0115794542599003e-09 G**(-1/lam) overflows
+        # the rim gap t0^2 - eta(1) ~ 4 (a/W)^4 is subnormal at 1e-81, where
+        # the scale would be 10% off, and k = 4 (a/W)^2 is 0 from about 1e-162
         with pytest.raises(QuadratureError, match="a_over_W"):
             weibull_params(cast(aw))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(log_k=st.floats(min_value=math.log(1e-14), max_value=math.log(1e6)))
+    @example(log_k=math.log(12.0))
+    @example(log_k=math.log(21.999999))
+    @example(log_k=math.log(22.0))
+    @example(log_k=math.log(22.000001))
+    def test_rim_against_scipy(self, log_k):
+        # both sides of the switch from the power series to Hankel's at k = 22
+        k = math.exp(log_k)
+        eta1, slope, _ = _rim(k)
+        assert eta1 == pytest.approx(float(chndtr(k, 2.0, k)), rel=3e-14, abs=0.0)
+        assert slope == pytest.approx(k * float(i1e(k)), rel=3e-15, abs=0.0)
 
     def test_rejects_invalid_fields(self):
         with pytest.raises(ValueError):
@@ -424,12 +448,20 @@ class TestSampler:
 
 class TestRatioBeyondKernel:
     # from a/W ~ 5e4 on, chndtr is nan in a band of offsets around r = 1;
-    # by 1.5e5 the rim value itself is nan
+    # by 1.5e5 the rim value itself is nan.  The Weibull matching sums its rim
+    # values in closed form, up to where 4 (a/W)^2 overflows, about 6.7e153
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
-    def test_weibull_params_raise(self, aw):
-        with pytest.raises(ArithmeticError, match="a_over_W"):
-            weibull_params(aw)
+    def test_weibull_params_match_closed_form(self, aw):
+        params = weibull_params(aw)
+        t0_sq, lam, scale = weibull_closed_form(aw)
+        assert params.t0**2 == pytest.approx(t0_sq, rel=1e-12)
+        assert params.lam == pytest.approx(lam, rel=1e-12)
+        assert params.scale == pytest.approx(scale, rel=1e-12)
+
+    def test_weibull_params_beyond_float_square_raise(self):
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e\+155"):
+            weibull_params(1e155)
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_exact_eta_at_rim_raises(self, aw):
@@ -438,12 +470,21 @@ class TestRatioBeyondKernel:
         with pytest.raises(ArithmeticError, match="a_over_W"):
             exact_eta_at_offset(np.array([0.5, 1.0, 2.0]), aw)
 
-    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("model", ["exact"])
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_sampler_raises(self, aw, model):
         # 200000 offsets with sigma_b2 = 1 put some samples in the nan band
         with pytest.raises(ArithmeticError, match="a_over_W"):
             sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model=model)
+
+    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    def test_approx_sampler_beyond_exact_kernel(self, aw):
+        eta = sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000)
+        assert np.all((eta >= 0.0) & (eta <= weibull_params(aw).t0 ** 2))
+
+    def test_approx_sampler_beyond_float_square_raises(self):
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e\+155"):
+            sample_transmittance(BeamGeometry(1e155, 1.0), seed=1, n=3)
 
 
 class TestBeamGeometry:

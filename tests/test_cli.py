@@ -152,7 +152,8 @@ class TestExitCodes:
         assert "aw_max must exceed aw_min" in err
 
     def test_ratio_beyond_kernel_is_computation_error(self, capsys):
-        code, out, err = run(capsys, "sample", "--aw", "1e6", "--samples", "3")
+        # the Weibull matching holds until 4 (a/W)^2 overflows, near 6.7e153
+        code, out, err = run(capsys, "sample", "--aw", "1e155", "--samples", "3")
         assert code == 1
         assert out == ""
         assert "a_over_W" in err
@@ -222,11 +223,20 @@ class TestCurve:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_constant_channel_has_zero_variance(self, capsys):
+        # without wandering <eta> = t0 * t0 exactly; at a/W = 0.380776 libm's
+        # t0**2 differs from that product
+        code, out, _ = run(capsys, "curve", "--sigma-b2", "0", "--aw-min", "0.380776",
+                           "--aw-max", "5", "--steps", "2")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert [row[4] for row in rows] == ["0", "0"]
+
     @pytest.mark.parametrize("model", ["approx", "exact"])
     def test_every_column_is_the_library_triple(self, capsys, model):
         # sigma_b2 = 0 takes the branch of the moment rule that returns t0;
-        # at a/W = 0.063543 and 0.231259, t0**2 rounds above t0 * t0, so
-        # Var(sqrt(eta)) there is the floor at 0 that FadingStats applies
+        # at a/W = 0.063543 and 0.231259, t0**2 (libm pow) rounds above
+        # t0 * t0, the product both sides use for Var(sqrt(eta))
         code, out, _ = run(capsys, "curve", "--aw-min", "0.063543",
                            "--aw-max", "0.231259", "--steps", "2",
                            "--sigma-b2", "0", "--sigma-b2", "0.3",
@@ -499,18 +509,42 @@ class TestPipeline:
         assert rows[0][0] == "2"
 
 
+def scipy_modules_after(*argvs):
+    """Names of the scipy modules a fresh interpreter holds after running `argvs`."""
+    src = os.path.dirname(os.path.dirname(beamfade.__file__))
+    probe = ("import contextlib, io, sys\n"
+             "from beamfade.cli import main\n"
+             f"for argv in {[list(a) for a in argvs]!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert main(argv) == 0, argv\n"
+             "print(*(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
 class TestStartUp:
+    # module presence is checked instead of a flaky start-up time
 
     def test_import_loads_no_integrate_or_optimize(self):
-        # scipy.optimize, which only `fit` needs, is imported when it runs;
-        # module presence is checked instead of a flaky start-up time
-        src = os.path.dirname(os.path.dirname(beamfade.__file__))
-        probe = ("import sys, beamfade.cli; print(sorted(m for m in sys.modules "
-                 "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        # scipy.optimize, which only `fit` needs, is imported when it runs
+        assert not [m for m in scipy_modules_after()
+                    if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+    def test_approx_commands_load_no_scipy(self, tmp_path):
+        # the Weibull matching sums its rim values in closed form; only the
+        # exact kernel and the fit import scipy
+        data = str(tmp_path / "s.txt")
+        assert scipy_modules_after(
+            ("curve", "--steps", "3"), ("ln-curve", "--steps", "3"),
+            ("kr-curve", "--optimize", "--steps", "3"),
+            ("sample", "--aw", "1", "--samples", "100", "--out", data),
+            ("stats", data)) == []
+
+    def test_exact_model_loads_scipy_special(self):
+        assert "scipy.special" in scipy_modules_after(
+            ("curve", "--model", "exact", "--steps", "3"))
 
 
 # values every numeric flag is fuzzed with: finite floats (half of them in

@@ -231,6 +231,15 @@ class TestAnalyticMoments:
         stats = analytic_moments(BeamGeometry(1.0, 1e300), model="exact")
         assert stats.sqrt_eta_mean <= 1e-299
 
+    @pytest.mark.parametrize("sigma_b2", [0.3, 2.0])
+    def test_hard_aperture_limit(self, sigma_b2):
+        # a beam far narrower than the aperture passes whole inside the rim
+        # and not at all beyond it, so <eta> = <sqrt(eta)> = P(r <= 1)
+        stats = analytic_moments(BeamGeometry(1e150, sigma_b2))
+        want = -math.expm1(-0.5 / sigma_b2)
+        assert stats.eta_mean == pytest.approx(want, rel=1e-12)
+        assert stats.sqrt_eta_mean == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("model", ["approx", "exact"])
     def test_ratio_beyond_float_square_names_ratio(self, model):
         # (a/W)^2 overflows to inf from about 1.3e154
@@ -247,8 +256,7 @@ class TestAnalyticMoments:
 
     def test_nan_kernel_names_ratio(self):
         # from a/W ~ 5e4 on the exact kernel is nan near the rim; at 2e5 it is
-        # nan at the rim itself, where the matching that places the rule's
-        # window evaluates it
+        # nan at the rim itself, where the rule evaluates it before its nodes
         with pytest.raises(QuadratureError, match="a_over_W"):
             analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
 
