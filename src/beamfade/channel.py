@@ -93,7 +93,9 @@ def max_transmission_coefficient(a_over_W: float) -> float:
         t0 = sqrt(1 - exp(-2 (a/W)^2)), in (0, 1).
     """
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    # a product, not **, so that a/W beyond 1e154 gives t0 = 1, not OverflowError
+    # a product of Python floats, neither ** nor numpy scalars, so that a/W
+    # beyond 1e154 gives t0 = 1, without OverflowError or an overflow warning
+    a_over_W = float(a_over_W)
     return math.sqrt(-math.expm1(-2.0 * a_over_W * a_over_W))
 
 
@@ -223,7 +225,8 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     and above about 6.7e153, where those sums leave the float range.
     """
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    return WeibullParams(*_weibull(a_over_W))
+    # a numpy scalar would warn where 4 (a/W)^2 overflows, before the error
+    return WeibullParams(*_weibull(float(a_over_W)))
 
 
 def eta_approx(r, params: WeibullParams):
@@ -237,9 +240,9 @@ def eta_approx(r, params: WeibullParams):
     return out if out.ndim else float(out)
 
 
-def _offset_of_transmission(t, params: WeibullParams):
-    """Inverse of T(r) = t0 exp(-(1/2)(r/scale)**lam) on (0, t0)."""
-    return params.scale * np.power(2.0 * np.log(params.t0 / t), 1.0 / params.lam)
+def _offset_of_transmission(t, t0, lam, scale):
+    """Inverse of T(r) = t0 exp(-(1/2)(r/scale)**lam) on (0, t0]."""
+    return scale * np.power(2.0 * np.log(t0 / t), 1.0 / lam)
 
 
 def pdt_density(t, params: WeibullParams, sigma_b2: float):
@@ -293,7 +296,8 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
     inside = (t > 0.0) & (t < params.t0)
-    r = _offset_of_transmission(np.where(inside, t, 0.5 * params.t0), params)
+    r = _offset_of_transmission(np.where(inside, t, 0.5 * params.t0),
+                                params.t0, params.lam, params.scale)
     out = np.where(inside, np.exp(-np.square(r) / (2.0 * sigma_b2)),
                    np.where(t >= params.t0, 1.0, 0.0))
     return out if out.ndim else float(out)

@@ -17,13 +17,14 @@ lines of one piece of about 64 Ki characters.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamGeometry, pdt_cdf, weibull_params
+from .channel import BeamGeometry, _offset_of_transmission, _weibull
 
 # values this far outside [0, 1] are treated as edge noise and clamped
 EDGE_TOLERANCE = 0.01
@@ -31,8 +32,10 @@ EDGE_TOLERANCE = 0.01
 # fit search rectangle: (sigma_b2, a_over_W)
 FIT_BOUNDS = ((1e-3, 2.0), (0.2, 4.0))
 
-# spread over the rectangle; simplex search is local, so several restarts
-_FIT_STARTS = ((0.05, 0.5), (0.3, 1.0), (0.8, 2.0), (0.15, 3.0))
+# the coarse fit grid has this many log-spaced values per axis, 256
+# candidates of 512 points each; the best few of them are refined
+_FIT_GRID = 16
+_FIT_CANDIDATES = 4
 
 SMALL_SERIES_WARN = 1000
 
@@ -227,10 +230,16 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     """Fit (sigma_b2, a_over_W) to a series by empirical-CDF distance.
 
     The objective is the mean squared difference between the empirical CDF
-    of T = sqrt(eta) and the model CDF on a fixed grid, minimized with a
-    derivative-free simplex search restarted from several starting points.
-    The result is flagged `boundary` when the optimum sits on the edge of
-    the search rectangle.
+    of T = sqrt(eta) and the model CDF `pdt_cdf` on a fixed grid of 512
+    points.  It is first evaluated on a coarse grid of log-spaced candidates
+    over the search rectangle, in one broadcast; a compass search then
+    refines the best few candidates in lockstep.  Each step probes every
+    candidate one step up and down along each axis, clipped to the
+    rectangle, moves it to its best probe that lowers the objective and
+    halves its step otherwise, until the steps fall below 1e-9 relative.
+    Deterministic: identical samples give an identical result.  The result
+    is flagged `boundary` when the optimum sits on the edge of the search
+    rectangle.
 
     A constant series is degenerate: it pins sigma_b2 = 0 and inverts the
     maximum-transmittance formula for a_over_W.
@@ -249,29 +258,50 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
         a_over_W = math.sqrt(-math.log1p(-eta0) / 2.0)
         return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=0.0), 0.0)
 
-    # imported here: scipy.optimize would add about half again to the
-    # start-up of every command, and only the fit needs it
-    from scipy.optimize import minimize
-
     t_sorted = np.sqrt(eta)
     t_sorted.sort()
     t_grid = np.linspace(0.0, 1.0, 513)[1:]
     empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
 
-    def objective(x):
-        model = pdt_cdf(t_grid, weibull_params(x[1]), x[0])
-        return float(np.mean((empirical - model) ** 2))
+    @functools.cache
+    def offsets_sq(a_over_W):
+        # r(t)^2, the same for every sigma_b2, once per a/W: a candidate that
+        # moves along sigma_b2 probes the same a/W again.  t >= t0 maps to
+        # r = 0, where the model CDF exp(-r^2 / (2 sigma_b2)) is 1, as in pdt_cdf
+        t0, lam, scale = _weibull(a_over_W)
+        return np.square(_offset_of_transmission(np.minimum(t_grid, t0), t0, lam, scale))
 
-    best = None
-    for start in _FIT_STARTS:
-        res = minimize(objective, x0=np.array(start), method="Nelder-Mead",
-                       bounds=FIT_BOUNDS,
-                       options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 2000})
-        if best is None or res.fun < best.fun:
-            best = res
-    sigma_b2, a_over_W = (float(v) for v in best.x)
+    def objective(r2, sigma_b2):
+        model = np.exp(-r2 / (2.0 * sigma_b2[..., None]))
+        return np.mean((empirical - model) ** 2, axis=-1)
+
+    (s_lo, s_hi), (a_lo, a_hi) = FIT_BOUNDS
+    s_grid = np.geomspace(s_lo, s_hi, _FIT_GRID)
+    a_grid = np.geomspace(a_lo, a_hi, _FIT_GRID)
+    coarse = objective(np.array([offsets_sq(a) for a in a_grid])[:, None, :], s_grid)
+    starts = np.argsort(coarse, axis=None, kind="stable")[:_FIT_CANDIDATES]
+    ia, js = np.unravel_index(starts, coarse.shape)
+    a, s, f = a_grid[ia], s_grid[js], coarse.flat[starts]
+    # one log step for both axes, first the coarse grid's a/W spacing
+    step = np.full(starts.size, math.log(a_hi / a_lo) / (_FIT_GRID - 1))
+    live = np.arange(starts.size)
+    while live.size:
+        up, down = np.exp(step[live]), np.exp(-step[live])
+        sl, al = s[live], a[live]
+        probe_s = np.clip([sl * up, sl * down, sl, sl], s_lo, s_hi)
+        probe_a = np.clip([al, al, al * up, al * down], a_lo, a_hi)
+        probe_f = objective(np.array([[offsets_sq(x) for x in row] for row in probe_a]),
+                            probe_s)
+        pick = probe_f.argmin(axis=0), np.arange(live.size)
+        lower = probe_f[pick] < f[live]
+        moved = live[lower]
+        s[moved], a[moved], f[moved] = (x[pick][lower] for x in (probe_s, probe_a, probe_f))
+        step[live[~lower]] *= 0.5
+        live = live[step[live] > 1e-9]
+    best = int(f.argmin())
+    sigma_b2, a_over_W = float(s[best]), float(a[best])
     on_edge = any(
         abs(v - lo) < 1e-9 or abs(v - hi) < 1e-9
         for v, (lo, hi) in zip((sigma_b2, a_over_W), FIT_BOUNDS))
     return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=sigma_b2),
-                     gof=float(best.fun), boundary=on_edge)
+                     gof=float(f[best]), boundary=on_edge)

@@ -1,6 +1,7 @@
 """Clipping integral, Weibull approximation, transmittance distribution, sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +463,14 @@ class TestRatioBeyondKernel:
     def test_weibull_params_beyond_float_square_raise(self):
         with pytest.raises(QuadratureError, match=r"a_over_W=1e\+155"):
             weibull_params(1e155)
+
+    def test_numpy_scalar_beyond_float_square(self):
+        # a numpy scalar squares with an overflow warning, a Python float not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=r"a_over_W=1e\+155"):
+                weibull_params(np.float64(1e155))
+            assert max_transmission_coefficient(np.float64(1e155)) == 1.0
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_exact_eta_at_rim_raises(self, aw):

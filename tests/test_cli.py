@@ -528,19 +528,19 @@ class TestStartUp:
     # module presence is checked instead of a flaky start-up time
 
     def test_import_loads_no_integrate_or_optimize(self):
-        # scipy.optimize, which only `fit` needs, is imported when it runs
+        # no command needs scipy.integrate or scipy.optimize any more
         assert not [m for m in scipy_modules_after()
                     if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
     def test_approx_commands_load_no_scipy(self, tmp_path):
-        # the Weibull matching sums its rim values in closed form; only the
-        # exact kernel and the fit import scipy
+        # the Weibull matching sums its rim values in closed form and the fit
+        # searches a numpy grid; only the exact kernel imports scipy
         data = str(tmp_path / "s.txt")
         assert scipy_modules_after(
             ("curve", "--steps", "3"), ("ln-curve", "--steps", "3"),
             ("kr-curve", "--optimize", "--steps", "3"),
             ("sample", "--aw", "1", "--samples", "100", "--out", data),
-            ("stats", data)) == []
+            ("stats", data), ("fit", data)) == []
 
     def test_exact_model_loads_scipy_special(self):
         assert "scipy.special" in scipy_modules_after(
