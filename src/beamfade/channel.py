@@ -79,24 +79,24 @@ class WeibullParams:
         _require("scale", self.scale, self.scale > 0, "> 0")
 
 
-def max_transmission_coefficient(a_over_W: float) -> float:
+def max_transmission_coefficient(a_over_W):
     """Transmission coefficient of a perfectly centered beam.
 
     Parameters
     ----------
-    a_over_W : float
-        Aperture-to-beam-size ratio, > 0.
+    a_over_W : float or array_like
+        Aperture-to-beam-size ratio(s), each > 0.
 
     Returns
     -------
-    float
-        t0 = sqrt(1 - exp(-2 (a/W)^2)), in (0, 1).
+    float or ndarray
+        t0 = sqrt(1 - exp(-2 (a/W)^2)), in (0, 1]; a float for a scalar.
     """
+    a_over_W = np.asarray(a_over_W, dtype=float)
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    # a product of Python floats, neither ** nor numpy scalars, so that a/W
-    # beyond 1e154 gives t0 = 1, without OverflowError or an overflow warning
-    a_over_W = float(a_over_W)
-    return math.sqrt(-math.expm1(-2.0 * a_over_W * a_over_W))
+    with np.errstate(over="ignore"):  # (a/W)^2 is inf, t0 = 1, beyond 1.3e154
+        out = np.sqrt(-np.expm1(-2.0 * a_over_W * a_over_W))
+    return out if out.ndim else float(out)
 
 
 def _eta_exact(r, a_over_W):
@@ -160,51 +160,55 @@ def exact_eta_at_offset(r, a_over_W: float):
     return out if out.ndim else float(out)
 
 
+_RIM_TERMS = 40
+
+
 def _rim(k):
-    """(eta(1), k i1e(k), t0^2 - eta(1)) at the rim r = 1, for k = 4 (a/W)^2.
+    """(eta(1), k i1e(k), t0^2 - eta(1)) at the rim r = 1, elementwise over k = 4 (a/W)^2.
 
     Q_1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2 (Vasylyev, Semenov & Vogel, PRL
-    108, 220501, 2012).  Below k = 22 one loop sums I1(k) and B = I0(k) - 1 =
+    108, 220501, 2012).  Below k = 22 the power series sum I1(k) and B = I0(k) - 1 =
     sum_{m>=1} (k/2)^(2m) / (m!)^2: 2 e^k eta(1) = expm1(k) - B loses under a
     bit (B <= expm1(k)/4), 2 e^k (t0^2 - eta(1)) = expm1(k/2)^2 + B none.  Above,
-    Hankel's series of i0e and i1e, terms prod_{i<=j} (4 nu^2 - (2i-1)^2) / (-8k i),
-    meets a term <= 2^-56 of its sum, where each loop stops, before j ~ 2k.
+    Hankel's series of i0e and i1e, terms prod_{i<=j} (4 nu^2 - (2i-1)^2) / (-8k i).
+    Both run over the whole array on k clipped into their branch, for _RIM_TERMS
+    terms, by which every term is below 2^-56 of its sum and Hankel's still fall.
     """
-    if k < 22.0:
-        term, b, i1, m = 1.0, 0.0, 0.5 * k, 0
-        while term > 2.0**-56 * b:
-            m += 1
-            term *= 0.25 * k * k / (m * m)
-            b += term
-            i1 += 0.5 * k * term / (m + 1)
-        e = math.exp(-k)
-        return (0.5 * e * (math.expm1(k) - b), k * e * i1,
-                0.5 * e * (math.expm1(0.5 * k) ** 2 + b))
-    # the nu = 1 terms are the nu = 0 terms times -(2j+1)/(2j-1)
-    term, s0, s1, j = 1.0, 1.0, 1.0, 0
-    while term > 2.0**-56 * s1 and j < 2.0 * k:
-        j += 1
-        term *= (2 * j - 1) ** 2 / (8.0 * k * j)
-        s0 += term
-        s1 -= term * (2 * j + 1) / (2 * j - 1)
-    i0e = s0 / math.sqrt(2.0 * math.pi * k)
-    return (0.5 * (1.0 - i0e), math.sqrt(k / (2.0 * math.pi)) * s1,
-            0.5 * (1.0 + i0e) - math.exp(-0.5 * k))
+    j = np.arange(1, _RIM_TERMS + 1)
+    ks, kh = np.minimum(k, 22.0)[..., None], np.maximum(k, 22.0)[..., None]
+    # the power terms (k/2)^(2j) / (j!)^2, and Hankel's terms of i0e, whose
+    # nu = 1 terms are them times -(2j+1)/(2j-1), along the last axis
+    p = np.cumprod(0.25 * ks * ks / (j * j), axis=-1)
+    h = np.cumprod((2 * j - 1) ** 2 / (8.0 * kh * j), axis=-1)
+    b, s0 = p.sum(axis=-1), 1.0 + h.sum(axis=-1)
+    i1 = 0.5 * ks[..., 0] * (1.0 + (p / (j + 1)).sum(axis=-1))
+    s1 = 1.0 - (h * (2 * j + 1) / (2 * j - 1)).sum(axis=-1)
+    ks, kh = ks[..., 0], kh[..., 0]
+    e = np.exp(-ks)
+    below = (0.5 * e * (np.expm1(ks) - b), ks * e * i1,
+             0.5 * e * (np.expm1(0.5 * ks) ** 2 + b))
+    i0e = s0 / np.sqrt(2.0 * np.pi * kh)
+    above = (0.5 * (1.0 - i0e), np.sqrt(kh / (2.0 * np.pi)) * s1,
+             0.5 * (1.0 + i0e) - np.exp(-0.5 * kh))
+    return tuple(np.where(k < 22.0, x, y) for x, y in zip(below, above))
 
 
 def _weibull(a_over_W):
-    """(t0, lam, scale) of `weibull_params`, for an a/W checked by the caller."""
-    k = 4.0 * a_over_W * a_over_W
-    eta1, slope, gap = _rim(k)
+    """(t0, lam, scale) of `weibull_params`, elementwise over a/W checked by the caller."""
+    a_over_W = np.asarray(a_over_W, dtype=float)
+    with np.errstate(over="ignore"):  # near a/W ~ 6.7e153, k and 8 k
+        k = 4.0 * a_over_W * a_over_W
+        eta1, slope, gap = _rim(k)
     # the gap, about (a/W)^4, leaves the normal floats below a/W ~ 8.6e-78, and
-    # k overflows to an infinite slope above a/W ~ 6.7e153
-    if not (2.0**-1022 <= gap and slope < math.inf):
+    # k overflows to an infinite slope above 6.7e153; name the first such a/W
+    bad = np.flatnonzero(~((gap >= 2.0**-1022) & (slope < np.inf)))
+    if bad.size:
         raise QuadratureError(
-            f"degenerate matching conditions at a_over_W={a_over_W}: "
-            f"rim gap {gap:.3e}, rim slope {slope:.3e}")
-    g = math.log1p(gap / eta1)
+            f"degenerate matching conditions at a_over_W={a_over_W.flat[bad[0]]}: "
+            f"rim gap {gap.flat[bad[0]]:.3e}, rim slope {slope.flat[bad[0]]:.3e}")
+    g = np.log1p(gap / eta1)
     lam = slope / eta1 / g
-    return math.sqrt(-math.expm1(-0.5 * k)), lam, g ** (-1.0 / lam)
+    return np.sqrt(-np.expm1(-0.5 * k)), lam, g ** (-1.0 / lam)
 
 
 def weibull_params(a_over_W: float) -> WeibullParams:
@@ -225,8 +229,7 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     and above about 6.7e153, where those sums leave the float range.
     """
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    # a numpy scalar would warn where 4 (a/W)^2 overflows, before the error
-    return WeibullParams(*_weibull(float(a_over_W)))
+    return WeibullParams(*map(float, _weibull(a_over_W)))
 
 
 def eta_approx(r, params: WeibullParams):
@@ -316,7 +319,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     ----------
     geometry : BeamGeometry
     seed : int
-        Seed for the pseudo-random generator.
+        Seed for the pseudo-random generator, >= 0.
     n : int
         Number of samples, >= 1.
     model : {"approx", "exact"}
@@ -334,6 +337,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     """
     _require("n (sample count)", n, isinstance(n, (int, np.integer))
              and not isinstance(n, bool) and n >= 1, "an integer >= 1")
+    _require("seed", seed, seed >= 0, ">= 0")
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     rng = np.random.default_rng(seed)

@@ -66,6 +66,7 @@ _excess_noise = _checked(
 _beta = _checked(float, lambda b: 0 < b <= 1, "beta must be in (0, 1]")
 _count = _checked(int, lambda n: n >= 1, "must be >= 1")
 _steps = _checked(int, lambda n: n >= 2, "steps must be >= 2")
+_seed = _checked(int, lambda n: n >= 0, "seed must be >= 0")
 
 
 def _ln0(text):
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="beam-center variance (default 0.3)")
     p.add_argument("--samples", type=_count, default=100000,
                    help="number of samples (default 100000)")
-    p.add_argument("--seed", type=int, default=1,
+    p.add_argument("--seed", type=_seed, default=1,
                    help="random seed (default 1)")
     p.add_argument("--model", choices=("approx", "exact"), default="approx",
                    help="transmittance model (default approx)")

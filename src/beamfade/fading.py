@@ -99,30 +99,30 @@ def _panel_edges(lo, hi):
 
 
 def _moments(a_over_W, sigma_b2: float, model: str):
-    """Moments of several a/W at one sigma_b2 >= 0, by the fixed rule.
+    """Moments of a 1-D array of a/W at one sigma_b2 >= 0, by the fixed rule.
 
-    The rule (see the constants above) runs as one (a/W x node) array
-    program, so a sweep costs one call per sigma_b2; `analytic_moments` is
-    the call for one geometry.  Returns the arrays <eta>, <sqrt(eta)> and
-    eta_max over a/W, clamped to <sqrt(eta)>^2 <= <eta> <= eta_max.  Raises
-    QuadratureError naming the first a/W at which the exact kernel is nan.
+    t0, the Weibull matching and the rule (see the constants above) each run
+    over the whole a/W array, so a sweep costs one call per sigma_b2;
+    `analytic_moments` is the call for one geometry.  Returns the arrays
+    <eta>, <sqrt(eta)> and eta_max over a/W, clamped to <sqrt(eta)>^2 <=
+    <eta> <= eta_max.  Raises QuadratureError naming the first a/W at which
+    the matching degenerates or the exact kernel is nan.
     """
-    aws = np.asarray(a_over_W, dtype=float).tolist()
-    t0 = np.array([max_transmission_coefficient(a) for a in aws])
+    t0 = max_transmission_coefficient(a_over_W)
     mean_t, mean_t2 = t0, t0 * t0
     if sigma_b2 > 0:
         # for the exact model lam only places the window, and it is 2 to an
         # ulp below a/W = 1e-3; the floor keeps it clear of the matching's
         # float limit near a/W = 8.6e-78
-        _, lam, scale = np.array([_weibull(a if model == "approx" else max(a, 1e-3))
-                                  for a in aws]).T
-        r_star = scale if model == "approx" else np.ones(len(aws))
+        _, lam, scale = _weibull(a_over_W if model == "approx"
+                                 else np.maximum(a_over_W, 1e-3))
+        r_star = scale if model == "approx" else np.ones_like(a_over_W)
         p = np.maximum(lam / 2.0, 1.0)
         s_star = 2.0 * np.log(r_star) - math.log(2.0 * sigma_b2)
         edges = _panel_edges(np.clip(s_star + _WINDOW[0] / p, _S_LO, _S_HI),
                              np.clip(s_star + _WINDOW[1] / p, _S_LO, _S_HI))
         width = np.diff(edges, axis=1)[:, :, None]
-        s = (edges[:, :-1, None] + width * _GL_X).reshape(len(aws), -1)
+        s = (edges[:, :-1, None] + width * _GL_X).reshape(a_over_W.size, -1)
         u = np.exp(s)
         weight = (width * _GL_W).reshape(s.shape) * u * np.exp(-u)
         # ln (r / r*)^2; far beyond the rim its exponentials overflow to inf,
@@ -134,9 +134,9 @@ def _moments(a_over_W, sigma_b2: float, model: str):
             else:
                 # from a/W ~ 1.5e5 the kernel is nan at the rim itself, which the
                 # rule's nodes would take seconds per geometry to find
-                t = np.sqrt(_eta_exact(1.0, np.array(aws)))[:, None]
+                t = np.sqrt(_eta_exact(1.0, a_over_W))[:, None]
                 if not np.isnan(t).any():
-                    t = np.sqrt(_eta_exact(np.exp(0.5 * x), np.array(aws)[:, None]))
+                    t = np.sqrt(_eta_exact(np.exp(0.5 * x), a_over_W[:, None]))
         # T is monotone, so the mass below u = 1e-14 sees about the T of the
         # lowest node: t0 when the rim lies far above, 0 when far below
         below = -math.expm1(-_U_LO) * t[:, 0]
@@ -145,7 +145,7 @@ def _moments(a_over_W, sigma_b2: float, model: str):
         bad = np.flatnonzero(np.isnan(mean_t))
         if bad.size:
             raise QuadratureError("moment rule met a nan transmittance at "
-                                  f"a_over_W={aws[bad[0]]}")
+                                  f"a_over_W={a_over_W[bad[0]]}")
     # rounding can leave the rule an ulp outside <T>^2 <= <T^2> <= t0^2;
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
@@ -178,7 +178,7 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     """
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
-    m2, m1, e = (x.item() for x in _moments([geometry.a_over_W],
+    m2, m1, e = (x.item() for x in _moments(np.array([geometry.a_over_W]),
                                             geometry.sigma_b2, model))
     return FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1 * m1,
                        eta_max=e)

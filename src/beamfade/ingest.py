@@ -17,7 +17,6 @@ lines of one piece of about 64 Ki characters.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -231,15 +230,15 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
 
     The objective is the mean squared difference between the empirical CDF
     of T = sqrt(eta) and the model CDF `pdt_cdf` on a fixed grid of 512
-    points.  It is first evaluated on a coarse grid of log-spaced candidates
-    over the search rectangle, in one broadcast; a compass search then
-    refines the best few candidates in lockstep.  Each step probes every
-    candidate one step up and down along each axis, clipped to the
-    rectangle, moves it to its best probe that lowers the objective and
-    halves its step otherwise, until the steps fall below 1e-9 relative.
-    Deterministic: identical samples give an identical result.  The result
-    is flagged `boundary` when the optimum sits on the edge of the search
-    rectangle.
+    points; each evaluation matches the Weibull law over its whole array of
+    a/W.  It is first evaluated on a coarse log-spaced grid over the search
+    rectangle, in one broadcast; a compass search then refines the best few
+    candidates in lockstep.  Each step probes every candidate one step up
+    and down along each axis, clipped to the rectangle, moves it to its best
+    probe that lowers the objective and halves its step otherwise, until the
+    steps fall below 1e-9 relative.  Deterministic: identical samples give
+    an identical result.  The result is flagged `boundary` when the optimum
+    sits on the edge of the search rectangle.
 
     A constant series is degenerate: it pins sigma_b2 = 0 and inverts the
     maximum-transmittance formula for a_over_W.
@@ -263,25 +262,21 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     t_grid = np.linspace(0.0, 1.0, 513)[1:]
     empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
 
-    @functools.cache
-    def offsets_sq(a_over_W):
-        # r(t)^2, the same for every sigma_b2, once per a/W: a candidate that
-        # moves along sigma_b2 probes the same a/W again.  t >= t0 maps to
-        # r = 0, where the model CDF exp(-r^2 / (2 sigma_b2)) is 1, as in pdt_cdf
-        t0, lam, scale = _weibull(a_over_W)
-        return np.square(_offset_of_transmission(np.minimum(t_grid, t0), t0, lam, scale))
-
-    def objective(r2, sigma_b2):
+    def objective(a_over_W, sigma_b2):
+        # r(t)^2 depends on a/W alone: one row per a/W, broadcast over
+        # sigma_b2.  t >= t0 maps to r = 0, where the model CDF
+        # exp(-r^2 / (2 sigma_b2)) is 1, as in pdt_cdf
+        t0, lam, scale = _weibull(a_over_W[..., None])
+        r2 = np.square(_offset_of_transmission(np.minimum(t_grid, t0), t0, lam, scale))
         model = np.exp(-r2 / (2.0 * sigma_b2[..., None]))
         return np.mean((empirical - model) ** 2, axis=-1)
 
     (s_lo, s_hi), (a_lo, a_hi) = FIT_BOUNDS
-    s_grid = np.geomspace(s_lo, s_hi, _FIT_GRID)
-    a_grid = np.geomspace(a_lo, a_hi, _FIT_GRID)
-    coarse = objective(np.array([offsets_sq(a) for a in a_grid])[:, None, :], s_grid)
+    a, s = np.meshgrid(np.geomspace(a_lo, a_hi, _FIT_GRID),
+                       np.geomspace(s_lo, s_hi, _FIT_GRID), indexing="ij")
+    coarse = objective(a[:, :1], s)
     starts = np.argsort(coarse, axis=None, kind="stable")[:_FIT_CANDIDATES]
-    ia, js = np.unravel_index(starts, coarse.shape)
-    a, s, f = a_grid[ia], s_grid[js], coarse.flat[starts]
+    a, s, f = a.flat[starts], s.flat[starts], coarse.flat[starts]
     # one log step for both axes, first the coarse grid's a/W spacing
     step = np.full(starts.size, math.log(a_hi / a_lo) / (_FIT_GRID - 1))
     live = np.arange(starts.size)
@@ -290,8 +285,7 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
         sl, al = s[live], a[live]
         probe_s = np.clip([sl * up, sl * down, sl, sl], s_lo, s_hi)
         probe_a = np.clip([al, al, al * up, al * down], a_lo, a_hi)
-        probe_f = objective(np.array([[offsets_sq(x) for x in row] for row in probe_a]),
-                            probe_s)
+        probe_f = objective(probe_a, probe_s)
         pick = probe_f.argmin(axis=0), np.arange(live.size)
         lower = probe_f[pick] < f[live]
         moved = live[lower]

@@ -140,7 +140,7 @@ def _log_negativity(v, eta_mean, sqrt_eta_mean, epsilon):
     """
     _, _, _, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon)
     nu = 2.0 * d / (v + b + np.hypot(v - b, 2.0 * c))
-    return np.maximum(0.0, -np.log2(nu))
+    return np.maximum(0.0, -np.log2(nu)) + 0.0  # + 0 turns the -0 of nu~ = 1 into +0
 
 
 def _point(params: ProtocolParams, stats: FadingStats):

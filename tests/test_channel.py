@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import chndtr, i1e
 
+import beamfade.channel
 from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
     WeibullParams,
     _rim,
+    _weibull,
     eta_approx,
     exact_eta_at_offset,
     max_transmission_coefficient,
@@ -60,6 +62,19 @@ class TestMaxTransmissionCoefficient:
     def test_rejects_non_finite_ratio(self, bad):
         with pytest.raises(ValueError, match="^a_over_W "):
             max_transmission_coefficient(bad)
+
+    def test_elementwise_over_arrays(self):
+        # a float for a scalar, and each entry of an array its own scalar call
+        aws = np.array([[1e-6, 0.5, 1.0], [2.0, 1e155, 1e300]])
+        got = max_transmission_coefficient(aws)
+        assert got.shape == aws.shape
+        assert got.tolist() == [[max_transmission_coefficient(a) for a in row]
+                                for row in aws.tolist()]
+        assert type(max_transmission_coefficient(np.float64(1.0))) is float
+
+    def test_array_names_first_bad_ratio(self):
+        with pytest.raises(ValueError, match=r"^a_over_W .* got -1\.0$"):
+            max_transmission_coefficient(np.array([1.0, -1.0, math.nan]))
 
 
 class TestExactEta:
@@ -272,6 +287,28 @@ class TestWeibullParams:
         assert eta1 == pytest.approx(float(chndtr(k, 2.0, k)), rel=3e-14, abs=0.0)
         assert slope == pytest.approx(k * float(i1e(k)), rel=3e-15, abs=0.0)
 
+    def test_matching_keeps_the_shape_of_a_over_w(self):
+        # the kernel runs over a whole array, entry by entry as weibull_params
+        aws = np.array([[1e-77, 1e-3, 0.5, 1.0], [2.3, 2.345207879911715, 50.0, 1e150]])
+        t0, lam, scale = _weibull(aws)
+        assert t0.shape == lam.shape == scale.shape == aws.shape
+        for i, aw in np.ndenumerate(aws):
+            params = weibull_params(float(aw))
+            assert (t0[i], lam[i], scale[i]) == (params.t0, params.lam, params.scale)
+
+    def test_matching_names_first_degenerate_ratio(self):
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e-300:"):
+            _weibull(np.array([[1.0, 2.0], [1e-300, 1e300]]))
+
+    @pytest.mark.parametrize("k", [math.nextafter(22.0, 0.0), 21.999999, 22.0])
+    def test_one_more_rim_term_changes_nothing(self, k, monkeypatch):
+        # both series are summed to a fixed term count; at the switch, where
+        # each converges slowest, a further term must not move a bit
+        want = [float(x) for x in _rim(k)]
+        monkeypatch.setattr(beamfade.channel, "_RIM_TERMS",
+                            beamfade.channel._RIM_TERMS + 1)
+        assert [float(x) for x in _rim(k)] == want
+
     def test_rejects_invalid_fields(self):
         with pytest.raises(ValueError):
             WeibullParams(t0=1.2, lam=2.0, scale=1.0)
@@ -445,6 +482,11 @@ class TestSampler:
     def test_rejects_non_finite_count(self, bad):
         with pytest.raises(ValueError, match="^n "):
             sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=bad)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed "):
+            sample_transmittance(BeamGeometry(1.0, 0.3), seed=seed, n=3)
 
 
 class TestRatioBeyondKernel:

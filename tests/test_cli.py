@@ -317,6 +317,16 @@ class TestLnCurve:
         assert len(rows) == 3
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
+    @pytest.mark.parametrize("state", [("--variance", "1"), ("--ln0", "0")])
+    def test_no_negative_zero(self, capsys, state):
+        # the vacuum has LN 0 on several rows, printed without a sign
+        code, out, err = run(capsys, "ln-curve", *state)
+        assert code == 0, err
+        _, rows = rows_of(out)
+        ln = [row[3] for row in rows]
+        assert "0" in ln
+        assert not any(x.startswith("-") for x in ln)
+
 
 class TestKrCurve:
 
@@ -454,6 +464,16 @@ class TestSample:
         code, out, _ = run(capsys, *argv, "--out", str(dst))
         assert (code, out) == (0, "")
         assert dst.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("seed", ["-1", "-0x1", "1.5"])
+    def test_bad_seed_exits_two(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--aw", "1", "--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed:" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_large_ratio_is_quiet(self, capsys):
         # the Weibull exponent overflows beyond the rim; the sample there is 0

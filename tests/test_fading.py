@@ -271,6 +271,12 @@ class TestAnalyticMoments:
         with pytest.raises(QuadratureError, match=r"a_over_W=6\.0$"):
             _moments(np.array([1.0, 6.0, 8.0]), 0.3, "exact")
 
+    def test_sweep_names_first_degenerate_matching(self):
+        # the matching runs over the whole sweep; both 1e-300 and 1e300 leave
+        # its float range, and the error names the first of them
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e-300:"):
+            _moments(np.array([1.0, 1e-300, 1e300]), 0.3, "approx")
+
 
 class TestLargeApertureRatio:
     # a beam 50 times narrower than the aperture: t0 rounds to 1 and the

@@ -315,3 +315,13 @@ class TestKernelProperties:
         # held to the 40-digit invariants instead
         assert chi == pytest.approx(holevo_decimal(v, eps, m, s), abs=1e-10)
         assert ln == pytest.approx(log_negativity_dense(v, eps, m, s), abs=1e-9)
+
+    @pytest.mark.parametrize("s2", [0.0, 0.3])
+    def test_log_negativity_is_never_negative_zero(self, s2):
+        # the vacuum (V = 1) has nu~ = 1 exactly on some rows, where -log2
+        # gives -0; the kernel returns +0 there
+        from beamfade.fading import _moments
+        m2, m1, _ = _moments(np.linspace(0.5, 2.0, 31), s2, "approx")
+        for v in (1.0, 1.0 + 1e-12, 7.0):
+            ln = _log_negativity(v, m2, m1, 0.0)
+            assert not np.signbit(ln).any()
