@@ -20,8 +20,8 @@ import numpy as np
 
 
 class QuadratureError(ArithmeticError):
-    """A numerical rule gave no usable value: the moment rule met a nan
-    transmittance, or the Weibull matching conditions degenerated."""
+    """A numerical rule gave no usable value: the exact transmittance is nan,
+    or the Weibull matching conditions degenerated."""
 
 
 def _require(name, x, ok, rule):
@@ -105,20 +105,19 @@ def _eta_exact(r, a_over_W):
     from scipy.special import chndtr  # here: it doubles any command's start-up
     k = 4.0 * a_over_W * a_over_W
     # squares may overflow: an inf offset term gives 0 below, and k = inf
-    # (a/W beyond 1e154) a nan that the callers reject by name; k = 0 (a/W
+    # (a/W beyond 1e154) a nan that is rejected by name below; k = 0 (a/W
     # below 1e-162) divides to an infinite reach
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = chndtr(k, 2.0, k * np.square(r))
         # P(X_1 >= 1) bounds eta by exp(-k (r - 1)^2 / 2) / 2, which is 0 in
         # float64 beyond r = 1 + sqrt(1500 / k); chndtr is nan there from
         # k r^2 ~ 1e20
-        return np.where(r > 1.0 + np.sqrt(np.true_divide(1500.0, k)), 0.0, eta)
-
-
-def _no_nan(eta, a_over_W):
-    # from a/W ~ 5e4 on, chndtr returns nan in a band of offsets around r = 1
-    if np.isnan(eta).any():
-        raise ArithmeticError(f"exact transmittance is nan at a_over_W={a_over_W}")
+        eta = np.where(r > 1.0 + np.sqrt(np.true_divide(1500.0, k)), 0.0, eta)
+    # from a/W ~ 3.7e4 on, chndtr is also nan in a band 26.8 / sqrt(k) inside r = 1
+    bad = np.flatnonzero(np.isnan(eta))
+    if bad.size:
+        raise QuadratureError("exact transmittance is nan at a_over_W="
+                              f"{np.broadcast_to(a_over_W, eta.shape).flat[bad[0]]}")
     return eta
 
 
@@ -149,14 +148,14 @@ def exact_eta_at_offset(r, a_over_W: float):
 
     Raises
     ------
-    ArithmeticError
-        If the kernel returns nan, which it does near r = 1 from a/W ~ 5e4 on
-        and at every r <= 1 beyond a/W ~ 1e154, where (a/W)^2 overflows.
+    QuadratureError
+        If the kernel returns nan: just inside r = 1 from a/W ~ 3.7e4 on, at
+        r = 1 from 1.02e5 and at every r <= 1 beyond 1e154, where (a/W)^2 overflows.
     """
     r = np.asarray(r, dtype=float)
     _require("offset r", r, r >= 0, ">= 0")
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    out = _no_nan(_eta_exact(r, a_over_W), a_over_W)
+    out = _eta_exact(r, a_over_W)
     return out if out.ndim else float(out)
 
 
@@ -331,9 +330,9 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
 
     Raises
     ------
-    ArithmeticError
+    QuadratureError
         If a/W is too large: the exact kernel is nan near r = 1 from about
-        5e4, the Weibull fit from about 6.7e153, where 4 (a/W)^2 overflows.
+        3.7e4, the Weibull fit from about 6.7e153, where 4 (a/W)^2 overflows.
     """
     _require("n (sample count)", n, isinstance(n, (int, np.integer))
              and not isinstance(n, bool) and n >= 1, "an integer >= 1")
@@ -347,4 +346,4 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     r = np.hypot(x, y)
     if model == "approx":
         return eta_approx(r, weibull_params(geometry.a_over_W))
-    return _no_nan(_eta_exact(r, geometry.a_over_W), geometry.a_over_W)
+    return _eta_exact(r, geometry.a_over_W)

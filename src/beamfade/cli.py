@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,7 +232,11 @@ def cmd_kr_curve(args) -> int:
 
 def cmd_fit(args) -> int:
     series = _read_series(args)
-    result = fit_geometry(series)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        result = fit_geometry(series)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     if result.boundary:
         print("warning: fit stopped on the search-domain boundary",
               file=sys.stderr)

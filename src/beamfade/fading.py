@@ -17,7 +17,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .channel import (
     BeamGeometry,
-    QuadratureError,
     _eta_exact,
     _require,
     _weibull,
@@ -132,20 +131,15 @@ def _moments(a_over_W, sigma_b2: float, model: str):
             if model == "approx":
                 t = t0[:, None] * np.exp(-0.5 * np.exp(0.5 * lam[:, None] * x))
             else:
-                # from a/W ~ 1.5e5 the kernel is nan at the rim itself, which the
-                # rule's nodes would take seconds per geometry to find
-                t = np.sqrt(_eta_exact(1.0, a_over_W))[:, None]
-                if not np.isnan(t).any():
-                    t = np.sqrt(_eta_exact(np.exp(0.5 * x), a_over_W[:, None]))
+                # from a/W ~ 1.02e5 the kernel is nan at the rim itself, which
+                # the rule's nodes would take seconds per geometry to find
+                _eta_exact(1.0, a_over_W)
+                t = np.sqrt(_eta_exact(np.exp(0.5 * x), a_over_W[:, None]))
         # T is monotone, so the mass below u = 1e-14 sees about the T of the
         # lowest node: t0 when the rim lies far above, 0 when far below
         below = -math.expm1(-_U_LO) * t[:, 0]
         mean_t = (weight * t).sum(axis=1) + below
         mean_t2 = (weight * t * t).sum(axis=1) + below * t[:, 0]
-        bad = np.flatnonzero(np.isnan(mean_t))
-        if bad.size:
-            raise QuadratureError("moment rule met a nan transmittance at "
-                                  f"a_over_W={a_over_W[bad[0]]}")
     # rounding can leave the rule an ulp outside <T>^2 <= <T^2> <= t0^2;
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)

@@ -1,14 +1,14 @@
 """Measured transmittance series: parsing, histograms, and model fitting.
 
 Input files are plain UTF-8 text with one intensity-transmittance sample per
-line.  Lines are those of `str.splitlines` (LF, CRLF, CR, form feed, U+0085
-and the other Unicode line boundaries), stripped of whitespace; blank lines
-and lines that start with '#' are skipped.  A sample is any text Python's
-`float` accepts (underscores and non-ASCII digits included) except nan and
-infinity, so a second column or a trailing comment is an error.  An optional
-reference value divides the raw readings, so detector voltages can be brought
-to the [0, 1] transmittance scale without external calibration.  Errors name
-the first offending line, in file order.
+line; a leading byte-order mark is dropped.  Lines are those of `str.splitlines`
+(LF, CRLF, CR, form feed, U+0085 and the other Unicode line boundaries),
+stripped of whitespace; blank lines and lines that start with '#' are skipped.
+A sample is any text Python's `float` accepts (underscores and non-ASCII digits
+included) except nan and infinity, so a second column or a trailing comment is
+an error.  An optional reference value divides the raw readings, so detector
+voltages can be brought to the [0, 1] transmittance scale without external
+calibration.  Errors name the first offending line, in file order.
 
 Besides the text itself, parsing holds at most 16 bytes per sample (the
 float64 samples of the text's pieces and their concatenation) and the Python
@@ -140,9 +140,9 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
         raw = stream
     if isinstance(raw, bytes):
         try:
-            raw = raw.decode("utf-8")
+            raw = raw.decode("utf-8-sig")  # drops a leading BOM; exc.start counts after it
         except UnicodeDecodeError as exc:
-            line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+            line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
             raise SeriesFormatError(f"input is not valid UTF-8: {exc}", line) from None
 
     arrays = []

@@ -15,6 +15,7 @@ from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
     WeibullParams,
+    _eta_exact,
     _rim,
     _weibull,
     eta_approx,
@@ -490,9 +491,10 @@ class TestSampler:
 
 
 class TestRatioBeyondKernel:
-    # from a/W ~ 5e4 on, chndtr is nan in a band of offsets around r = 1;
-    # by 1.5e5 the rim value itself is nan.  The Weibull matching sums its rim
-    # values in closed form, up to where 4 (a/W)^2 overflows, about 6.7e153
+    # from a/W ~ 3.7e4 on, chndtr is nan in a band of offsets that starts
+    # about 26.8 / sqrt(k) inside r = 1; from 1.02e5 the rim value itself is
+    # nan.  The Weibull matching sums its rim values in closed form, up to
+    # where 4 (a/W)^2 overflows, about 6.7e153
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_weibull_params_match_closed_form(self, aw):
@@ -527,6 +529,26 @@ class TestRatioBeyondKernel:
         # 200000 offsets with sigma_b2 = 1 put some samples in the nan band
         with pytest.raises(ArithmeticError, match="a_over_W"):
             sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model=model)
+
+    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    def test_exact_paths_raise_quadrature_error(self, aw):
+        # the kernel checks for nan itself, so every exact path raises the
+        # same error, naming the ratio
+        name = rf"a_over_W={aw}$"
+        with pytest.raises(QuadratureError, match=name):
+            exact_eta_at_offset(1.0, aw)
+        with pytest.raises(QuadratureError, match=name):
+            exact_eta_at_offset(np.array([0.5, 1.0, 2.0]), aw)
+        with pytest.raises(QuadratureError, match=name):
+            sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model="exact")
+
+    def test_kernel_names_first_ratio_in_row_order(self, monkeypatch):
+        # a stand-in chndtr, nan above a/W = 5; the rows of the broadcast
+        # hold a/W 1, 7 and 6, so the first nan lies in the row of 7
+        monkeypatch.setattr("scipy.special.chndtr", lambda x, df, nc: np.where(
+            x > 100.0, np.nan, chndtr(x, df, nc)))
+        with pytest.raises(QuadratureError, match=r"a_over_W=7\.0$"):
+            _eta_exact(np.array([0.5, 1.0]), np.array([[1.0], [7.0], [6.0]]))
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_approx_sampler_beyond_exact_kernel(self, aw):

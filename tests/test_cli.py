@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -528,6 +529,21 @@ class TestPipeline:
         _, rows = rows_of(out)
         assert rows[0][0] == "2"
 
+    def test_small_fit_warns_in_cli_format(self, tmp_path, capsys):
+        data = tmp_path / "short.txt"
+        code, _, _ = run(capsys, "sample", "--aw", "1", "--samples", "50",
+                         "--seed", "3", "--out", str(data))
+        assert code == 0
+        # the fit's own warning is printed as a note, not left to Python
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fit", str(data))
+        assert code == 0
+        assert err == ("warning: fitting 50 samples; at least 1000 recommended "
+                       "for a stable fit\n")
+        assert "UserWarning" not in err and ".py:" not in err
+        assert rows_of(out)[1][0][3] == "50"
+
 
 def scipy_modules_after(*argvs):
     """Names of the scipy modules a fresh interpreter holds after running `argvs`."""
@@ -622,3 +638,55 @@ class TestFuzzedArguments:
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert "nan" not in out.getvalue()
+
+
+# the lines of fuzzed series files: mostly samples, comments and blanks, and
+# a few faults among them: any float, the IEEE specials, a second column, a
+# byte-order mark off the file start and bytes that are no UTF-8
+GOOD_LINES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.sampled_from(["1.005", "-0.005", "0", "1", "", "   ", "#"]),
+    st.text(max_size=4).map("# {}".format),
+).map(str.encode)
+BAD_LINES = st.one_of(
+    st.floats().map(repr).map(str.encode),
+    st.sampled_from([b"nan", b"-inf", b"1e400", b"-1e308", b"0.5 0.6", b"0x1",
+                     b"\xff", b"\xc3", b"0.\xe95", b"\xef\xbb\xbf0.5"]),
+)
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u2028".encode()])
+
+
+@st.composite
+def series_file(draw):
+    lines = draw(st.lists(GOOD_LINES, max_size=20))
+    for fault in draw(st.lists(BAD_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + b"".join(line + draw(LINE_ENDS) for line in lines)
+
+
+class TestFuzzedSeriesFiles:
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("fuzz") / "series.txt")
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=series_file(), reference=st.sampled_from(
+        ["1", "2", "0.5", "1e-300", "1e300", "0", "-1", "nan"]))
+    @example(data=b"\xef\xbb\xbf0.25\r\n0.5\r\n", reference="1")
+    def test_exit_status_and_output(self, path, data, reference):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["stats", path], ["fit", path]):
+            for extra in ([], ["--reference", reference]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv + extra)
+                    except SystemExit as exc:
+                        code = exc.code
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+                if code == 0:
+                    assert "nan" not in out.getvalue()

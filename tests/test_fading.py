@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import chndtr
 
 from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
-    _eta_exact,
     max_transmission_coefficient,
     pdt_cdf,
     pdt_density,
@@ -32,6 +32,11 @@ REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 # error bound of `oracles.fading_moments`: its trapezoid rule is off by the
 # end term h^2/12 f'(0) <= 92 / (12 * 40000^2) = 4.8e-9, whatever sigma_b2
 ORACLE_TRAPEZOID_TOL = 5e-9
+
+
+def nan_above_k_100(x, df, nc):
+    """scipy's chndtr, but nan for x = k = 4 (a/W)^2 above 100, i.e. a/W above 5."""
+    return np.where(x > 100.0, np.nan, chndtr(x, df, nc))
 
 
 def three_se(values):
@@ -255,21 +260,33 @@ class TestAnalyticMoments:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_nan_kernel_names_ratio(self):
-        # from a/W ~ 5e4 on the exact kernel is nan near the rim; at 2e5 it is
-        # nan at the rim itself, where the rule evaluates it before its nodes
+        # from a/W ~ 3.7e4 on the exact kernel is nan near the rim; at 2e5 it
+        # is nan at the rim itself, where the rule evaluates it before its nodes
         with pytest.raises(QuadratureError, match="a_over_W"):
             analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
 
     def test_sweep_nan_names_first_ratio(self, monkeypatch):
-        # from a/W = 4e4 on, the window's nodes meet the nan band of the exact
-        # kernel at the rim (and chndtr takes seconds per geometry there), so
-        # a kernel that is nan above a/W = 5 stands in for it
-        def nan_above_five(r, a_over_W):
-            return np.where(a_over_W > 5.0, np.nan, _eta_exact(r, a_over_W))
-
-        monkeypatch.setattr("beamfade.fading._eta_exact", nan_above_five)
+        # from a/W ~ 3.7e4 on, the window's nodes meet the nan band of the
+        # exact kernel at the rim (and chndtr takes seconds per geometry
+        # there), so a chndtr that is nan above k = 100 (a/W = 5) stands in
+        monkeypatch.setattr("scipy.special.chndtr", nan_above_k_100)
         with pytest.raises(QuadratureError, match=r"a_over_W=6\.0$"):
             _moments(np.array([1.0, 6.0, 8.0]), 0.3, "exact")
+
+    @pytest.mark.parametrize("aws", [[2e5], [2e5, 1e6]])
+    def test_rim_check_spares_the_nodes(self, monkeypatch, aws):
+        # the kernel is nan at the rim itself here, and the rule checks that
+        # one value per a/W before it evaluates its 1560 nodes
+        seen = []
+
+        def counting_chndtr(x, df, nc):
+            seen.append(np.broadcast(x, df, nc).size)
+            return chndtr(x, df, nc)
+
+        monkeypatch.setattr("scipy.special.chndtr", counting_chndtr)
+        with pytest.raises(QuadratureError, match=r"a_over_W=200000\.0$"):
+            _moments(np.array(aws), 0.3, "exact")
+        assert seen == [len(aws)]
 
     def test_sweep_names_first_degenerate_matching(self):
         # the matching runs over the whole sweep; both 1e-300 and 1e300 leave

@@ -131,6 +131,28 @@ class TestParseSeriesEdgeCases:
         with pytest.raises(SeriesFormatError, match=f"^line {line}: input is not valid UTF-8"):
             parse_series(raw)
 
+    @pytest.mark.parametrize("raw", [b"0.5\r\n0.25\n", b"# head\n\n0.5", b"1\x0c0"])
+    def test_leading_byte_order_mark_dropped(self, raw):
+        got = parse_series(b"\xef\xbb\xbf" + raw).samples
+        assert got.tobytes() == parse_series(raw).samples.tobytes()
+
+    def test_byte_order_mark_inside_rejected(self):
+        # only a mark at the start of the bytes is dropped
+        with pytest.raises(SeriesFormatError, match=r"^line 2: cannot parse '\\ufeff0\.5'$"):
+            parse_series(b"0.5\n\xef\xbb\xbf0.5\n")
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"\xff0.5\n", 1),
+        (b"0.5\n\xff", 2),
+        (b"0.5\r\n0.25\n# \xe9t\xe9\n", 3),
+    ])
+    def test_invalid_utf8_after_byte_order_mark_names_line(self, raw, line):
+        # the decoder counts its error offset from after the mark
+        with pytest.raises(SeriesFormatError, match=f"^line {line}: input is not valid UTF-8"):
+            parse_series(raw)
+        with pytest.raises(SeriesFormatError, match=f"^line {line}: input is not valid UTF-8"):
+            parse_series(b"\xef\xbb\xbf" + raw)
+
     @pytest.mark.parametrize("text, reference, samples", [
         ("1_0\n", 20.0, [0.5]),
         ("\u0660.\u0665\n\uff10.\uff12\uff15\n", None, [0.5, 0.25]),
