@@ -242,21 +242,29 @@ def eta_approx(r, params: WeibullParams):
     return out if out.ndim else float(out)
 
 
-def _offset_of_transmission(t, t0, lam, scale):
-    """Inverse of T(r) = t0 exp(-(1/2)(r/scale)**lam) on (0, t0]."""
-    return scale * np.power(2.0 * np.log(t0 / t), 1.0 / lam)
+def _offset_cdf(t, t0, lam, scale, sigma_b2):
+    """(r(t), P(T <= t)), r(t) = scale (2 ln(t0/t))**(1/lam), broadcast over all five.
+
+    t is clipped into [0, t0]: t >= t0 gives r = 0 and CDF 1, t <= 0 r = inf and CDF 0.
+    """
+    # + 0.0 turns a clipped -0.0 into 0.0, so t0/t is +inf there, not -inf;
+    # t0/t also overflows to inf for a subnormal t
+    with np.errstate(divide="ignore", over="ignore"):
+        r = scale * np.power(2.0 * np.log(t0 / (np.clip(t, 0.0, t0) + 0.0)), 1.0 / lam)
+    return r, np.exp(-np.square(r) / (2.0 * sigma_b2))
 
 
 def pdt_density(t, params: WeibullParams, sigma_b2: float):
     """Probability density of the transmission coefficient T.
 
     Built by change of variables from the Rayleigh-distributed beam-center
-    offset r (density r/sigma_b2 * exp(-r^2 / (2 sigma_b2))) through the
+    offset r (density f(r) = r/sigma_b2 * exp(-r^2 / (2 sigma_b2))) through the
     strictly decreasing map T(r) = t0 exp(-(1/2)(r/scale)**lam):
 
-        p(T) = f(r(T)) * |dr/dT|,  r(T) = scale * (2 ln(t0/T))**(1/lam)
+        p(T) = f(r(T)) * |dr/dT|,  r(T) = scale * u**(1/lam),  |dr/dT| = 2 r / (lam T u)
 
-    Zero outside the support (0, t0).
+    with u = 2 ln(t0/T), r(T) and the exponential of f from `pdt_cdf`'s kernel.
+    Zero outside the support (0, t0) and at both of its ends.
 
     Parameters
     ----------
@@ -274,34 +282,27 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
-    inside = (t > 0.0) & (t < params.t0)
-    # a point inside stands in for t outside the support, where log(0) fails
-    t = np.where(inside, t, 0.5 * params.t0)
-    u = 2.0 * np.log(params.t0 / t)
-    r = params.scale * np.power(u, 1.0 / params.lam)
-    rayleigh = (r / sigma_b2) * np.exp(-np.square(r) / (2.0 * sigma_b2))
-    # |dr/dT| from the inverse map; diverges integrably at T -> t0 for lam > 1
-    with np.errstate(divide="ignore", over="ignore"):
-        jac = (2.0 * params.scale / (params.lam * t)) * np.power(u, 1.0 / params.lam - 1.0)
-    out = np.where(inside, rayleigh * jac, 0.0)
+    r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
+    # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where the CDF is 0 (T <= 0,
+    # or subnormal with r = inf) or T >= t0, a 0/0, inf * 0 or log(< 0) gives way to 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = 2.0 * np.log(params.t0 / t)
+        density = (r / sigma_b2) * cdf * (2.0 * r / (params.lam * t * u))
+    out = np.where((cdf > 0.0) & (t < params.t0), density, 0.0)
     return out if out.ndim else float(out)
 
 
 def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     """Cumulative distribution of T under the same change of variables.
 
-    P(T <= t) = P(r >= r(t)) = exp(-r(t)^2 / (2 sigma_b2)); closed form, so
-    it serves as an independent check on `pdt_density` and as the model side
-    of distribution fitting.
+    P(T <= t) = P(r >= r(t)) = exp(-r(t)^2 / (2 sigma_b2)), 0 for t <= 0 and 1
+    for t >= t0.  Closed form: integrating `pdt_density` reproduces it, and
+    `ingest.fit_geometry` evaluates the same kernel as its model CDF.
     """
     _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
-    inside = (t > 0.0) & (t < params.t0)
-    r = _offset_of_transmission(np.where(inside, t, 0.5 * params.t0),
-                                params.t0, params.lam, params.scale)
-    out = np.where(inside, np.exp(-np.square(r) / (2.0 * sigma_b2)),
-                   np.where(t >= params.t0, 1.0, 0.0))
+    out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[1]
     return out if out.ndim else float(out)
 
 

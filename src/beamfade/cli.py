@@ -90,10 +90,6 @@ def _add_sweep_flags(sub):
                      help="transmittance model for the moments")
 
 
-def _add_out_flag(sub):
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beamfade",
@@ -105,12 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="transmittance text file")
     p.add_argument("--reference", type=_positive,
                    help="divide raw values by this reference")
-    _add_out_flag(p)
 
     p = commands.add_parser("curve", help="channel moments over an a/W sweep")
     p.set_defaults(run=cmd_curve)
     _add_sweep_flags(p)
-    _add_out_flag(p)
 
     p = commands.add_parser("ln-curve", help="log-negativity over an a/W sweep")
     p.set_defaults(run=cmd_ln_curve)
@@ -122,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial entanglement instead of variance, repeatable")
     p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
                    help="channel excess noise in SNU (default 0.01)")
-    _add_out_flag(p)
 
     p = commands.add_parser("kr-curve", help="key-rate bound over an a/W sweep")
     p.set_defaults(run=cmd_kr_curve)
@@ -137,14 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optimize the modulation variance per grid point")
     p.add_argument("--clamp", action="store_true",
                    help="emit only the key rate clamped at zero")
-    _add_out_flag(p)
 
     p = commands.add_parser("fit", help="fit channel parameters to a series")
     p.set_defaults(run=cmd_fit)
     p.add_argument("input", help="transmittance text file")
     p.add_argument("--reference", type=_positive,
                    help="divide raw values by this reference")
-    _add_out_flag(p)
 
     p = commands.add_parser("sample", help="generate synthetic samples")
     p.set_defaults(run=cmd_sample)
@@ -158,8 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed (default 1)")
     p.add_argument("--model", choices=("approx", "exact"), default="approx",
                    help="transmittance model (default approx)")
-    _add_out_flag(p)
 
+    # every command writes to --out, or to stdout without it
+    for p in commands.choices.values():
+        p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 

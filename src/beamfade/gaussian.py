@@ -181,8 +181,7 @@ def condition_on_homodyne(cm: CovMat2, measured_mode: int, quadrature: str = "x"
     if idx is None:
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     pivot = meas[idx, idx]
-    if pivot <= 0.0:
-        raise ValueError(f"measured quadrature variance must be > 0, got {pivot}")
+    _require("measured quadrature variance", pivot, pivot > 0.0, "> 0")
     col = cross[:, idx]
     return kept - np.outer(col, col) / pivot
 

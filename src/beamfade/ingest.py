@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamGeometry, _offset_of_transmission, _weibull
+from .channel import BeamGeometry, _offset_cdf, _require, _weibull
 
 # values this far outside [0, 1] are treated as edge noise and clamped
 EDGE_TOLERANCE = 0.01
@@ -72,11 +72,7 @@ class TransmittanceSeries:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("series must hold at least one sample")
-        if np.any(~np.isfinite(samples)):
-            raise ValueError("series contains non-finite samples")
-        lo, hi = float(samples.min()), float(samples.max())
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"samples must lie in [0, 1], found [{lo}, {hi}]")
+        _require("samples", samples, (samples >= 0.0) & (samples <= 1.0), "in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -100,8 +96,7 @@ class Histogram:
             raise ValueError("bin edges must be strictly ascending")
         if counts.size != edges.size - 1:
             raise ValueError("counts length must be number of bins")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
+        _require("counts", counts, counts >= 0, ">= 0")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
 
@@ -144,6 +139,8 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
         except UnicodeDecodeError as exc:
             line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
             raise SeriesFormatError(f"input is not valid UTF-8: {exc}", line) from None
+    else:
+        raw = raw.removeprefix("\ufeff")  # the mark utf-8-sig drops from bytes
 
     arrays = []
     for piece in _pieces(raw):
@@ -204,8 +201,7 @@ def histogram(series: TransmittanceSeries, bins: int, value_range=None) -> Histo
     The default range is [0, max sample]; samples outside an explicit range
     are dropped from the counts.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    _require("bins", bins, bins >= 2, ">= 2")
     if value_range is None:
         hi = float(series.samples.max())
         value_range = (0.0, hi if hi > 0.0 else 1.0)
@@ -229,7 +225,7 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     """Fit (sigma_b2, a_over_W) to a series by empirical-CDF distance.
 
     The objective is the mean squared difference between the empirical CDF
-    of T = sqrt(eta) and the model CDF `pdt_cdf` on a fixed grid of 512
+    of T = sqrt(eta) and the model CDF, `pdt_cdf`'s kernel, on a grid of 512
     points; each evaluation matches the Weibull law over its whole array of
     a/W.  It is first evaluated on a coarse log-spaced grid over the search
     rectangle, in one broadcast; a compass search then refines the best few
@@ -263,12 +259,8 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
 
     def objective(a_over_W, sigma_b2):
-        # r(t)^2 depends on a/W alone: one row per a/W, broadcast over
-        # sigma_b2.  t >= t0 maps to r = 0, where the model CDF
-        # exp(-r^2 / (2 sigma_b2)) is 1, as in pdt_cdf
-        t0, lam, scale = _weibull(a_over_W[..., None])
-        r2 = np.square(_offset_of_transmission(np.minimum(t_grid, t0), t0, lam, scale))
-        model = np.exp(-r2 / (2.0 * sigma_b2[..., None]))
+        # the model CDF of pdt_cdf, one grid row per geometry
+        model = _offset_cdf(t_grid, *_weibull(a_over_W[..., None]), sigma_b2[..., None])[1]
         return np.mean((empirical - model) ** 2, axis=-1)
 
     (s_lo, s_hi), (a_lo, a_hi) = FIT_BOUNDS

@@ -371,6 +371,10 @@ class TestPdtDensity:
         assert pdt_density(params.t0, params, 0.3) == 0.0
         assert pdt_density(0.0, params, 0.3) == 0.0
         assert pdt_density(-0.2, params, 0.3) == 0.0
+        # the same edges as one array, -0.0 and a subnormal included, without
+        # a RuntimeWarning
+        t = np.array([-0.2, -0.0, 0.0, 5e-324, params.t0, 1.0, 2.0])
+        assert pdt_density(t, params, 0.3).tolist() == [0.0] * 7
 
     def test_non_negative_inside(self):
         params = weibull_params(1.0)
@@ -416,6 +420,8 @@ class TestPdtCdf:
         assert pdt_cdf(0.0, params, 0.3) == 0.0
         assert pdt_cdf(params.t0, params, 0.3) == 1.0
         assert pdt_cdf(1.0, params, 0.3) == 1.0
+        t = np.array([-0.2, -0.0, 0.0, 5e-324, params.t0, 1.0, 2.0])
+        assert pdt_cdf(t, params, 0.3).tolist() == [0.0] * 4 + [1.0] * 3
         vals = pdt_cdf(np.linspace(1e-4, params.t0, 200), params, 0.3)
         assert np.all(np.diff(vals) >= 0.0)
 

@@ -141,6 +141,21 @@ class TestParseSeriesEdgeCases:
         with pytest.raises(SeriesFormatError, match=r"^line 2: cannot parse '\\ufeff0\.5'$"):
             parse_series(b"0.5\n\xef\xbb\xbf0.5\n")
 
+    @pytest.mark.parametrize("raw", [b"0.5\r\n0.25\n", b"# head\n\n0.5", b"1\x0c0"])
+    def test_leading_byte_order_mark_dropped_from_text(self, raw):
+        # text from a stream opened as UTF-8, not utf-8-sig, still holds the mark
+        want = parse_series(raw).samples.tobytes()
+        text = "\ufeff" + raw.decode("utf-8")
+        assert parse_series(text).samples.tobytes() == want
+        assert parse_series(io.StringIO(text)).samples.tobytes() == want
+
+    @pytest.mark.parametrize("raw, line", [
+        ("\ufeff\ufeff0.5\n", 1), (b"\xef\xbb\xbf\xef\xbb\xbf0.5\n", 1), ("0.5\n\ufeff0.5\n", 2)])
+    def test_second_byte_order_mark_rejected(self, raw, line):
+        # one leading mark is dropped, from text as from bytes; any other is an error
+        with pytest.raises(SeriesFormatError, match=rf"^line {line}: cannot parse '\\ufeff0\.5'$"):
+            parse_series(raw)
+
     @pytest.mark.parametrize("raw, line", [
         (b"\xff0.5\n", 1),
         (b"0.5\n\xff", 2),
@@ -423,6 +438,19 @@ class TestFitGeometry:
         assert result.geometry.sigma_b2 == pytest.approx(former[0], abs=1e-5)
         assert result.geometry.a_over_W == pytest.approx(former[1], abs=1e-5)
         assert result.gof <= former[2]
+
+    @pytest.mark.parametrize("aw, s2", [(0.6, 0.05), (1.0, 0.3), (1.6, 0.6), (2.2, 0.9),
+                                        (3.0, 1.2)])
+    def test_gof_is_distance_to_public_cdf(self, aw, s2):
+        # the fit's model CDF is pdt_cdf: its gof is the mean squared distance
+        # of the ECDF of sqrt(eta) from pdt_cdf at the returned geometry
+        eta = sample_transmittance(BeamGeometry(aw, s2), seed=3, n=20_000)
+        result = fit_geometry(TransmittanceSeries(eta))
+        grid = np.linspace(0.0, 1.0, 513)[1:]
+        ecdf = np.searchsorted(np.sort(np.sqrt(eta)), grid, side="right") / eta.size
+        got = result.geometry
+        model = pdt_cdf(grid, weibull_params(got.a_over_W), got.sigma_b2)
+        assert result.gof == pytest.approx(np.mean((ecdf - model) ** 2), rel=1e-13)
 
     # err * sqrt(n), err = hypot(sigma_b2 / 0.3 - 1, a_over_W - 1), was
     # measured over 200 seeds at each n in {1e3, 3e3, 1e4, 3e4, 1e5}: its
