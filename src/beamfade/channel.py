@@ -20,8 +20,8 @@ import numpy as np
 
 
 class QuadratureError(ArithmeticError):
-    """A numerical rule gave no usable value: the exact transmittance is nan,
-    or the Weibull matching conditions degenerated."""
+    """A numerical rule gave no usable value: 4 (a/W)^2 overflows in the exact
+    transmittance, or the Weibull matching conditions degenerated."""
 
 
 def _require(name, x, ok, rule):
@@ -99,26 +99,195 @@ def max_transmission_coefficient(a_over_W):
     return out if out.ndim else float(out)
 
 
+# eta(r) bounds P(X_1 >= 1) by exp(-k (r - 1)^2 / 2) / 2, which is 0 in float64
+# beyond r = 1 + sqrt(_REACH / k); the kernels clip offsets there
+_REACH = 1500.0
+# Hankel's expansion serves offsets with k r >= _HANKEL_XI, k = 4 (a/W)^2, where
+# _HANKEL_TERMS terms are within 7e-16 (measured from k r = 30 on), and r <= 4,
+# where its recurrence loses no digits; and every offset once k > _K_SERIES,
+# taken at r >= 1/4 there, as 1 - eta is below exp(-9k/32) inside.  The
+# Poisson series serves the rest, where its sums stay below exp(k/2 + sqrt(1500 k)).
+_HANKEL_XI = 40.0
+_HANKEL_TERMS = 16
+_K_SERIES = 200.0
+_SERIES_ROWS = 256
+
+
+def _series_terms(kr):
+    """Terms of a Poisson series whose terms peak near j = kr/2: the peak and 6
+    standard deviations beyond it, after which further terms change no bit
+    (with 5, the last bit of 165 in 4e5 entries moved, measured)."""
+    return np.ceil(0.5 * kr + 6.0 * np.sqrt(kr + 1.0) + 10.0).astype(np.intp)
+
+
+def _power_sum(x, row, coef, count):
+    """sum_j coef[row, j] x^j for j <= count, over a 1-D array of entries.
+
+    The terms are summed upwards, each from the last by the ratio of its
+    coefficient to the one before; entries in falling term count, so that the
+    entries still summing are a prefix.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(coef[:, :-1] > 0.0, coef[:, 1:] / coef[:, :-1], 0.0).T.copy()
+    # a 16-bit key sorts by radix
+    order = np.argsort(-count.astype(np.int16), kind="stable")
+    x, row, count = x[order], row[order], count[order]
+    term = coef[row, 0]
+    total = term.copy()
+    for i, m in enumerate(np.searchsorted(
+            -count, -np.arange(1, count.max(initial=0) + 1), side="right")):
+        term[:m] *= x[:m]
+        term[:m] *= ratio[i][row[:m]]
+        total[:m] += term[:m]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _eta_series(r, k, want):
+    """eta at the wanted offsets of rows r, one k <= _K_SERIES per row (a column).
+
+    With N1 ~ Poisson(k/2) and N2 ~ Poisson(k r^2/2), eta = P(N1 - N2 >= 1)
+    (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions 2, ch. 29)
+    = exp(-k r^2/2) sum_j P(N1 > j) (k/2)^j/j! r^(2j), and 1 - eta the same sum
+    with P(N1 <= j).  Every term is >= 0.  Offsets more than 1/sqrt(k) inside
+    the rim, where eta > 1/2, take 1 - eta, which keeps eta near 1 to an ulp.
+    Each entry runs for its own term count, so that it is the same in every
+    call.  Returns the wanted entries in row-major order.
+    """
+    reach = 1.0 + np.sqrt(_REACH / np.maximum(k, 1e-300))
+    # (k/2)^j/j! and P(N1 = j), to a length set by k alone, so that P(N1 > j),
+    # summed down from its end, is the same in every call
+    size = _series_terms(k * reach)
+    j = np.arange(1, size.max(initial=0) + 1)
+    lam = 0.5 * k
+    power = np.cumprod(np.concatenate(
+        [np.ones_like(lam), np.where(j <= size, lam / j, 0.0)], axis=1), axis=1)
+    pmf = np.exp(-lam) * power
+    tail = np.concatenate([np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1],
+                           np.zeros_like(lam)], axis=1)
+    # coefficient rows 2i for eta and 2i + 1 for 1 - eta at k of row i
+    coef = np.stack([tail, np.cumsum(pmf, axis=1)], axis=1) * power[:, None]
+    row = np.broadcast_to(np.arange(r.shape[0])[:, None], r.shape)[want]
+    r, k = np.minimum(r[want], reach[row, 0]), k[row, 0]
+    x = r * r
+    inside = r < 1.0 - 1.0 / np.sqrt(np.maximum(k, 1e-300))
+    # the terms P(N2 = j) P(N1 > j) (or <= j) peak near j = k r/2, as Bessel's
+    # I_j(k r) do, or near k/2 for offsets near the rim taking eta itself
+    eta = _power_sum(x, 2 * row + inside, coef.reshape(-1, coef.shape[-1]),
+                     _series_terms(k * np.where(inside, r, np.maximum(r, 1.0))))
+    # exp(-k x / 2) in two halves, each applied in turn, which keeps them and
+    # every partial product inside the float range
+    half = np.exp(-0.25 * k * x)
+    eta *= half
+    eta *= half
+    return np.where(inside, 1.0 - eta, eta)
+
+
+# W. J. Cody, Math. Comp. 23 (1969) 631, as in his CALERF: numerator and
+# denominator coefficients, highest power first, of erf(y)/y in y^2 up to
+# y = 0.46875, of exp(y^2) erfc(y) in y up to 4 and of its remainder in 1/y^2 beyond
+_CODY = (
+    ((1.85777706184603153e-1, 3.16112374387056560, 1.13864154151050156e2,
+      3.77485237685302021e2, 3.20937758913846947e3),
+     (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+      2.84423683343917062e3)),
+    ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594,
+      6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+      1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
+     (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+      1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+      3.43936767414372164e3, 1.23033935480374942e3)),
+    ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+     (1.0, 2.56852019228982242, 1.87295284992346725, 5.27905102951428412e-1,
+      6.05183413124413191e-2, 2.33520497626869185e-3)),
+)
+
+
+def _erfcx(y):
+    """exp(y^2) erfc(y) for y >= 0, within 7e-16 relative (measured)."""
+    def rational(i, v):
+        return np.polyval(_CODY[i][0], v) / np.polyval(_CODY[i][1], v)
+    s = np.minimum(y, 0.46875)
+    m = np.clip(y, 0.46875, 4.0)
+    v = 1.0 / np.square(np.maximum(y, 4.0))
+    return np.where(y < 0.46875, np.exp(s * s) * (1.0 - s * rational(0, s * s)),
+                    np.where(y < 4.0, rational(1, m),
+                             (1.0 / math.sqrt(math.pi) - v * rational(2, v)) * np.sqrt(v)))
+
+
+_HANKEL_J = np.arange(1, _HANKEL_TERMS + 1)
+# Hankel's coefficients of e^-t I0(t) and e^-t I1(t) in (2 pi t)^(-1/2) t^-n
+_HANKEL_I0 = np.cumprod((2 * _HANKEL_J - 1) ** 2 / (8.0 * _HANKEL_J))
+_HANKEL_I1 = np.cumprod((2 * _HANKEL_J - 3) * (2 * _HANKEL_J + 1) / (8.0 * _HANKEL_J))
+
+
+def _eta_hankel(r, k):
+    """eta, elementwise, by the expansion for large xi = k r (see _HANKEL_XI).
+
+    Along rho = 1/r fixed, Q_1 (of which eta is the complement inside the rim
+    and the whole outside it) changes with xi as e^-((1 + sigma) xi) times
+    I1(xi) - rho I0(xi), sigma = (1 - r)^2 / (2r) (A. Gil, J. Segura & N. M.
+    Temme, ACM TOMS 40, 20, 2014).  Hankel's series of e^-t I(t), integrated
+    from xi on, gives e^-z (erfcx(sqrt z) / (2 sqrt r) + b), z = sigma xi, with
+    b = sum_n (c0_n/r - c1_n) phi_n / (2 sqrt(2 pi)), c0 and c1 the coefficients
+    of I0 and I1, and phi_n = e^z times the integral of e^(-sigma t) t^(-n-1/2)
+    from xi on, by its forward recurrence.  Offsets below 1/4 (served only for
+    k > 160) take the value there, which rounds to 1 as theirs does: 1 - eta is
+    below exp(-9k/32) from 1/4 inward.
+    """
+    # the reach stays 1e-6 off the rim, where 1 + sqrt(1500/k) would round onto
+    # it (from k ~ 1e35); eta is 0 beyond either
+    r = np.clip(r, 0.25, 1.0 + np.maximum(np.sqrt(_REACH / k), 1e-6))
+    xi = k * r
+    z = 0.5 * k * np.square(1.0 - r)
+    sigma = np.square(1.0 - r) / (2.0 * r)
+    ex = _erfcx(np.sqrt(z))
+    sigma_phi = np.abs(1.0 - r) * np.sqrt(0.5 * math.pi / r) * ex
+    b, power = 0.0, 1.0 / np.sqrt(xi)
+    for n in range(_HANKEL_TERMS):
+        phi = (power - sigma_phi) / (n + 0.5)
+        b = b + (_HANKEL_I0[n] / r - _HANKEL_I1[n]) * phi
+        power, sigma_phi = power / xi, sigma * phi
+    ez = np.exp(-z)
+    a, b = ez * ex / (2.0 * np.sqrt(r)), ez * b / (2.0 * math.sqrt(2.0 * math.pi))
+    return np.where(r < 1.0, 1.0 - a - b, a - b)
+
+
 def _eta_exact(r, a_over_W):
-    # P(|X| <= 1) for X ~ N(r, w^2/4 I), w = W/a: a noncentral chi^2 CDF with
-    # 2 degrees of freedom, equal to 1 - Q_1(2r/w, 2/w) (Marcum Q)
-    from scipy.special import chndtr  # here: it doubles any command's start-up
-    k = 4.0 * a_over_W * a_over_W
-    # squares may overflow: an inf offset term gives 0 below, and k = inf
-    # (a/W beyond 1e154) a nan that is rejected by name below; k = 0 (a/W
-    # below 1e-162) divides to an infinite reach
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eta = chndtr(k, 2.0, k * np.square(r))
-        # P(X_1 >= 1) bounds eta by exp(-k (r - 1)^2 / 2) / 2, which is 0 in
-        # float64 beyond r = 1 + sqrt(1500 / k); chndtr is nan there from
-        # k r^2 ~ 1e20
-        eta = np.where(r > 1.0 + np.sqrt(np.true_divide(1500.0, k)), 0.0, eta)
-    # from a/W ~ 3.7e4 on, chndtr is also nan in a band 26.8 / sqrt(k) inside r = 1
-    bad = np.flatnonzero(np.isnan(eta))
-    if bad.size:
-        raise QuadratureError("exact transmittance is nan at a_over_W="
-                              f"{np.broadcast_to(a_over_W, eta.shape).flat[bad[0]]}")
-    return eta
+    """eta(r) = P(|X| <= 1), X ~ N(r, I/k), k = 4 (a/W)^2, broadcast over r and a/W.
+
+    Within 5e-15 of 50-digit mpmath down to eta = 1e-300 (measured), by the
+    Poisson series or Hankel's expansion (see _HANKEL_XI).  One row per a/W:
+    along the last axis when a/W is a scalar or has a last axis of 1, else one
+    entry per row.  Raises QuadratureError naming the first a/W, in array
+    order, whose k overflows (above about 6.7e153).
+    """
+    r, a_over_W = np.asarray(r, dtype=float), np.asarray(a_over_W, dtype=float)
+    shape = np.broadcast_shapes(r.shape, a_over_W.shape)
+    n = shape[-1] if shape and a_over_W.shape[-1:] in ((), (1,)) else 1
+    a = np.broadcast_to(a_over_W, shape).reshape(-1, n)[:, :1]
+    r = np.broadcast_to(r, shape).reshape(-1, n)
+    with np.errstate(over="ignore"):
+        k = 4.0 * a * a
+        bad = np.flatnonzero(k == np.inf)
+        if bad.size:
+            raise QuadratureError("exact transmittance needs 4 (a/W)^2 finite, "
+                                  f"not at a_over_W={a.flat[bad[0]]}")
+        far = ((k * r >= _HANKEL_XI) & (r <= 4.0)) | (k > _K_SERIES)
+        eta = np.empty(r.shape)
+        if far.any():  # k r may overflow within 1e-6 of the largest k
+            eta[far] = _eta_hankel(r[far], np.broadcast_to(k, r.shape)[far])
+    # the series' tables take a few kB per row, so rows go in blocks
+    near = ~far
+    rows = np.flatnonzero(near.any(axis=1))
+    for i in range(0, rows.size, _SERIES_ROWS):
+        block = rows[i:i + _SERIES_ROWS]
+        part = eta[block]
+        part[near[block]] = _eta_series(r[block], k[block], near[block])
+        eta[block] = part
+    return eta.reshape(shape)
 
 
 def exact_eta_at_offset(r, a_over_W: float):
@@ -149,8 +318,7 @@ def exact_eta_at_offset(r, a_over_W: float):
     Raises
     ------
     QuadratureError
-        If the kernel returns nan: just inside r = 1 from a/W ~ 3.7e4 on, at
-        r = 1 from 1.02e5 and at every r <= 1 beyond 1e154, where (a/W)^2 overflows.
+        If a/W is above about 6.7e153, where k = 4 (a/W)^2 overflows.
     """
     r = np.asarray(r, dtype=float)
     _require("offset r", r, r >= 0, ">= 0")
@@ -332,8 +500,7 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     Raises
     ------
     QuadratureError
-        If a/W is too large: the exact kernel is nan near r = 1 from about
-        3.7e4, the Weibull fit from about 6.7e153, where 4 (a/W)^2 overflows.
+        If a/W is above about 6.7e153, where 4 (a/W)^2 overflows in either model.
     """
     _require("n (sample count)", n, isinstance(n, (int, np.integer))
              and not isinstance(n, bool) and n >= 1, "an integer >= 1")

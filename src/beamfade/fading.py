@@ -104,8 +104,8 @@ def _moments(a_over_W, sigma_b2: float, model: str):
     over the whole a/W array, so a sweep costs one call per sigma_b2;
     `analytic_moments` is the call for one geometry.  Returns the arrays
     <eta>, <sqrt(eta)> and eta_max over a/W, clamped to <sqrt(eta)>^2 <=
-    <eta> <= eta_max.  Raises QuadratureError naming the first a/W at which
-    the matching degenerates or the exact kernel is nan.
+    <eta> <= eta_max; the exact <eta> is in closed form.  Raises
+    QuadratureError naming the first a/W at which the matching degenerates.
     """
     t0 = max_transmission_coefficient(a_over_W)
     mean_t, mean_t2 = t0, t0 * t0
@@ -127,19 +127,21 @@ def _moments(a_over_W, sigma_b2: float, model: str):
         # ln (r / r*)^2; far beyond the rim its exponentials overflow to inf,
         # where the transmission is 0
         x = s - s_star[:, None]
-        with np.errstate(over="ignore"):
+        # (a/W)^2 may overflow or, in the exact <eta>, underflow to a 0 divisor
+        with np.errstate(over="ignore", divide="ignore"):
             if model == "approx":
                 t = t0[:, None] * np.exp(-0.5 * np.exp(0.5 * lam[:, None] * x))
             else:
-                # from a/W ~ 1.02e5 the kernel is nan at the rim itself, which
-                # the rule's nodes would take seconds per geometry to find
-                _eta_exact(1.0, a_over_W)
                 t = np.sqrt(_eta_exact(np.exp(0.5 * x), a_over_W[:, None]))
+                # the beam's intensity, a Gaussian of variance 1/k per axis,
+                # convolved with the wander's: 1 - exp(-1 / (2/k + 2 sigma_b2))
+                mean_t2 = -np.expm1(-1.0 / (0.5 / (a_over_W * a_over_W) + 2.0 * sigma_b2))
         # T is monotone, so the mass below u = 1e-14 sees about the T of the
         # lowest node: t0 when the rim lies far above, 0 when far below
         below = -math.expm1(-_U_LO) * t[:, 0]
         mean_t = (weight * t).sum(axis=1) + below
-        mean_t2 = (weight * t * t).sum(axis=1) + below * t[:, 0]
+        if model == "approx":
+            mean_t2 = (weight * t * t).sum(axis=1) + below * t[:, 0]
     # rounding can leave the rule an ulp outside <T>^2 <= <T^2> <= t0^2;
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
@@ -159,7 +161,8 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     T changes on the scale 1/p, p = max(lam/2, 1), and at most 1 wide
     elsewhere.  Every geometry gets the same 1560 nodes.  Halving every
     panel and widening the window moves no moment by more than 5e-16 over
-    a/W 0.01-3e4 and sigma_b2 1e-12-1e3.
+    a/W 0.01-3e4 and sigma_b2 1e-12-1e3.  The exact model's <T^2> = <eta>
+    needs no rule: it is 1 - exp(-1 / (2/k + 2 sigma_b2)), k = 4 (a/W)^2.
 
     Parameters
     ----------

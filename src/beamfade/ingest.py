@@ -89,16 +89,18 @@ class Histogram:
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
+        counts = np.asarray(self.counts)
         if edges.ndim != 1 or edges.size < 3:
             raise ValueError("need at least two bins")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly ascending")
         if counts.size != edges.size - 1:
             raise ValueError("counts length must be number of bins")
-        _require("counts", counts, counts >= 0, ">= 0")
+        # checked before the cast to int, which would truncate 1.7 and -0.5
+        _require("counts", counts, (counts >= 0) & (counts == np.round(counts)),
+                 "an integer >= 0")
         object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", counts.astype(int))
 
     @property
     def total(self) -> int:

@@ -12,19 +12,21 @@ then evidence, not tautology.  `holevo_decimal` evaluates those invariants in
 40-digit decimal arithmetic, where their cancellation costs nothing, and
 `entropy_decimal` takes g(nu) from its defining formula the same way.
 
-One exception: the exact branches of `eta_of_offset` and `fading_moments`
-use `scipy.stats.ncx2.cdf`, which (scipy 1.17) evaluates
-`scipy.special.chndtr`, the very routine behind the library's exact
-transmittance.  Comparisons through them check the parametrisation
-k = 4 (a/W)^2 and, for the moments, the integration over the offset, but not
-the transmittance routine itself; `eta_disc_2d` is the independent check of
-that.
+For the exact transmittance there are three routes.  The exact branches
+of `eta_of_offset` and `fading_moments` use `scipy.stats.ncx2.cdf`, which
+(scipy 1.17) evaluates `scipy.special.chndtr`, CDFLIB's sum of central
+chi^2 CDFs weighted by Poisson terms; the library sums the Poisson-mixture
+series on its own (and Hankel's expansion for large k r), with no scipy.
+`eta_rice_quadrature` integrates the Rice density of the beam's distance
+from the aperture center, and `eta_disc_2d` the beam's intensity over the
+disc.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import i0e, i1e
 from scipy.stats import ncx2
@@ -53,6 +55,41 @@ def eta_disc_2d(r, a_over_W, n_rho=1001, n_phi=256):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(np.sum(weights * inner) * h / 3.0)
+
+
+def eta_rice_quadrature(r, a_over_W):
+    """Transmitted power fraction by adaptive quadrature of a Rice density.
+
+    The beam center's distance rho from the aperture center, for a center
+    drawn from N(r, I/k), k = 4 (a/W)^2, has the Rice density
+    k rho exp(-k (rho - r)^2 / 2) i0e(k rho r), and eta is its mass on
+    [0, 1].  It is integrated in t = sqrt(k) (rho - r), whose Gaussian
+    exp(-t^2 / 2) no rounding of rho disturbs, on panels split at the peak
+    (or, beyond the rim, at the rim) and 1, 3 and 10 widths from it, a width
+    being 1 or, beyond the rim, the exponential fall 1 / (sqrt(k) (r - 1)).
+    Within 2.5e-14 of 50-digit mpmath on 40 offsets for a/W in [1e-3, 1e3],
+    and within 2e-16 a few widths off the rim at a/W 2e5 and 1e6 (measured).
+    """
+    k = 4.0 * a_over_W * a_over_W
+    root = math.sqrt(k)
+    top = (1.0 - r) * root
+    if r > 1.0:
+        width = min(1.0, 1.0 / (root * (r - 1.0)))
+        lo, peak = max(-r * root, top - 60.0 * width), top
+    else:
+        width = 1.0
+        lo, peak = max(-r * root, -40.0), 0.0
+    edges = {lo, peak, top}
+    for n in (1.0, 3.0, 10.0):
+        edges.update((max(lo, peak - n * width), min(top, peak + n * width)))
+    edges = sorted(edges)
+
+    def density(t):
+        rho = r + t / root
+        return root * rho * math.exp(-0.5 * t * t) * float(i0e(k * rho * r))
+
+    return sum(quad(density, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
 
 
 def symplectic_eigs_iomega(matrix):

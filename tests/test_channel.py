@@ -1,6 +1,8 @@
 """Clipping integral, Weibull approximation, transmittance distribution, sampler."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import chndtr, i1e
+from scipy.special import chndtr, i0e, i1e
 
 import beamfade.channel
 from beamfade.channel import (
@@ -27,7 +29,7 @@ from beamfade.channel import (
     weibull_params,
 )
 
-from oracles import eta_disc_2d, eta_of_offset, weibull_closed_form
+from oracles import eta_disc_2d, eta_of_offset, eta_rice_quadrature, weibull_closed_form
 
 AW_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -95,7 +97,7 @@ class TestExactEta:
 
     @pytest.mark.parametrize("r, aw", [(1e10, 1.0), (1e300, 0.5), (2.0, 1e3)])
     def test_far_beyond_rim_is_zero(self, r, aw):
-        # chndtr is nan once k r^2 passes about 1e20; eta is below 1e-300 there
+        # eta is below 1e-300 there
         assert exact_eta_at_offset(r, aw) == 0.0
 
     def test_huge_ratio_names_ratio(self):
@@ -136,6 +138,19 @@ class TestExactEta:
             assert all(isinstance(x, float) for x in scalars)
             assert np.array_equal(vals.ravel(), scalars)
 
+    def test_ratio_per_entry_in_bounded_memory(self):
+        # an a/W that varies along the last axis gives the series one row
+        # per entry, whose coefficient tables go in blocks of rows
+        aws = np.linspace(1.0, 2.0, 20000)
+        tracemalloc.start()
+        try:
+            got = exact_eta_at_offset(np.ones_like(aws), aws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert got[::997].tolist() == [exact_eta_at_offset(1.0, aw) for aw in aws[::997]]
+
     @pytest.mark.parametrize("eta", ETA_KERNELS)
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
     def test_array_with_one_bad_offset_rejected(self, bad, eta):
@@ -150,9 +165,7 @@ class TestExactEta:
             exact_eta_at_offset(0.5, bad)
 
     def test_noncentral_chi2_oracle(self):
-        # the oracle's ncx2.cdf calls the same scipy routine as the library,
-        # so this pins the parametrisation (k = 4 (a/W)^2), not the routine;
-        # the disc integral above is the independent check
+        # the oracle's ncx2.cdf sums scipy's chndtr, the library its own series
         for aw in (0.2, 0.5, 1.0, 3.0, 10.0):
             for r in (0.0, 0.3, 1.0, 2.5):
                 assert exact_eta_at_offset(r, aw) == pytest.approx(
@@ -212,6 +225,69 @@ class TestExactEtaProperties:
         # a beam much wider than the aperture clips like exp(-(r/scale)^2);
         # the rim value (1 - i0e(k)) / 2 cancels here and would give ~3
         assert weibull_params(aw).lam == pytest.approx(2.0, abs=1e-12)
+
+
+def on_grid(x, bits):
+    """x rounded to `bits` significant bits: the products and squares that the
+    kernels form of two such numbers are exact, so that every route is given
+    the same arguments and the transmittance's own conditioning (k r |r - 1|
+    ulps beyond the rim) does not enter the comparison."""
+    mantissa, exponent = math.frexp(x)
+    return math.ldexp(round(mantissa * 2**bits), exponent - bits)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """(r, a/W): a/W log-uniform in [1e-3, 1e3], r in [0, 1 + sqrt(300/k)]."""
+    aw = on_grid(math.exp(draw(st.floats(math.log(1e-3), math.log(1e3)))), 11)
+    k = 4.0 * aw * aw
+    # offsets below 1e-6 of the reach would leave k r^2 subnormal
+    u = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+    return on_grid(u * (1.0 + math.sqrt(300.0 / k)), 12), aw
+
+
+class TestExactKernelOracles:
+    # the library sums the Poisson-mixture series, or Hankel's expansion for
+    # large k r; every oracle takes another route
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(args=kernel_arguments())
+    @example(args=(1.0, 1.0))
+    @example(args=(1.0869140625, 67.6875))
+    def test_matches_rice_quadrature(self, args):
+        # the quadrature is within 2.5e-14 of 50-digit mpmath (measured)
+        r, aw = args
+        assert exact_eta_at_offset(r, aw) == pytest.approx(
+            eta_rice_quadrature(r, aw), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(args=kernel_arguments())
+    @example(args=(5.09375, 1.87548828125))
+    def test_matches_chndtr(self, args):
+        # chndtr itself is off 50-digit mpmath by up to 2e-13 below a/W = 10
+        # and 5.8e-12 up to 1e3 on these arguments (measured), where the
+        # library is within 5e-15; it is 0 in the far tail
+        r, aw = args
+        k = 4.0 * aw * aw
+        want = float(chndtr(k, 2.0, k * r * r))
+        if want > 1e-250:
+            assert exact_eta_at_offset(r, aw) == pytest.approx(
+                want, rel=1e-12 if aw <= 10.0 else 1e-11, abs=0.0)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(aw=st.floats(1e-3, 3.0), r=st.floats(0.0, 2.5))
+    def test_matches_disc_integral(self, aw, r):
+        # the disc grid resolves beams up to a/W = 3 (see above)
+        assert exact_eta_at_offset(r, aw) == pytest.approx(eta_disc_2d(r, aw), abs=1e-10)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(aw=st.floats(1e-3, 1e3), u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
+    def test_non_increasing_in_offset(self, aw, u):
+        # one call on sorted offsets, across the series, its complement and
+        # Hankel's expansion
+        k = 4.0 * aw * aw
+        r = np.sort(np.array(u)) * (1.0 + math.sqrt(1500.0 / k))
+        assert np.all(np.diff(exact_eta_at_offset(r, aw)) <= 0.0)
 
 
 class TestWeibullParams:
@@ -497,10 +573,8 @@ class TestSampler:
 
 
 class TestRatioBeyondKernel:
-    # from a/W ~ 3.7e4 on, chndtr is nan in a band of offsets that starts
-    # about 26.8 / sqrt(k) inside r = 1; from 1.02e5 the rim value itself is
-    # nan.  The Weibull matching sums its rim values in closed form, up to
-    # where 4 (a/W)^2 overflows, about 6.7e153
+    # the exact kernel and the Weibull matching both hold up to where
+    # 4 (a/W)^2 overflows, about 6.7e153, and raise by name beyond
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_weibull_params_match_closed_form(self, aw):
@@ -523,24 +597,49 @@ class TestRatioBeyondKernel:
             assert max_transmission_coefficient(np.float64(1e155)) == 1.0
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
-    def test_exact_eta_at_rim_raises(self, aw):
-        with pytest.raises(ArithmeticError, match="a_over_W"):
-            exact_eta_at_offset(1.0, aw)
-        with pytest.raises(ArithmeticError, match="a_over_W"):
-            exact_eta_at_offset(np.array([0.5, 1.0, 2.0]), aw)
+    def test_exact_eta_at_rim_matches_oracle(self, aw):
+        # Q_1(a, a) in closed form at the rim; a beam 4e5 times narrower than
+        # the aperture passes whole well inside it and not at all beyond it
+        k = 4.0 * aw * aw
+        rim = 0.5 * (1.0 - float(i0e(k)))
+        assert exact_eta_at_offset(1.0, aw) == pytest.approx(rim, rel=1e-14)
+        assert exact_eta_at_offset(np.array([0.5, 1.0, 2.0]), aw).tolist() == [
+            1.0, exact_eta_at_offset(1.0, aw), 0.0]
+        # offsets a few beam widths off the rim, on a binary grid (see on_grid)
+        step = 2.0 ** math.floor(math.log2(1.0 / math.sqrt(k)))
+        for r in (1.0 - 3.0 * step, 1.0 + 2.0 * step):
+            assert exact_eta_at_offset(r, aw) == pytest.approx(
+                eta_rice_quadrature(r, aw), rel=1e-13)
 
     @pytest.mark.parametrize("model", ["exact"])
     @pytest.mark.parametrize("aw", [2e5, 1e6])
-    def test_sampler_raises(self, aw, model):
-        # 200000 offsets with sigma_b2 = 1 put some samples in the nan band
-        with pytest.raises(ArithmeticError, match="a_over_W"):
-            sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model=model)
+    def test_sampler_matches_oracle(self, aw, model):
+        # 200000 offsets with sigma_b2 = 1 put a few samples within 40 beam
+        # widths 1/sqrt(k) of the rim; away from that band eta is 1 inside
+        # the rim and 0 beyond it.
+        # An ulp of r moves eta by up to k |r - 1| = 40 sqrt(k) ulps there, so
+        # the band is compared at 1e-8
+        eta = sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model=model)
+        rng = np.random.default_rng(1)
+        r = np.hypot(rng.normal(0.0, 1.0, 200_000), rng.normal(0.0, 1.0, 200_000))
+        band = np.abs(r - 1.0) < 40.0 / (2.0 * aw)
+        assert eta[~band].tolist() == (r[~band] < 1.0).astype(float).tolist()
+        assert band.sum() >= 3
+        for ri, ei in zip(r[band], eta[band]):
+            assert ei == pytest.approx(eta_rice_quadrature(float(ri), aw), abs=1e-8)
 
-    @pytest.mark.parametrize("aw", [2e5, 1e6])
+    @pytest.mark.parametrize("aw", [1e20, 1e100, 6.6e153])
+    def test_exact_eta_is_a_step_for_huge_ratio(self, aw):
+        # 1 + sqrt(1500/k) rounds onto the rim from k ~ 1e35; the ulp beyond
+        # the rim must still give 0, not the rim's 1/2
+        r = np.array([0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 3.0, 1e300])
+        assert exact_eta_at_offset(r, aw).tolist() == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("aw", [1e155, 1e300])
     def test_exact_paths_raise_quadrature_error(self, aw):
-        # the kernel checks for nan itself, so every exact path raises the
-        # same error, naming the ratio
-        name = rf"a_over_W={aw}$"
+        # 4 (a/W)^2 overflows, so every exact path raises the same error,
+        # naming the ratio
+        name = re.escape(f"a_over_W={aw}") + "$"
         with pytest.raises(QuadratureError, match=name):
             exact_eta_at_offset(1.0, aw)
         with pytest.raises(QuadratureError, match=name):
@@ -548,13 +647,11 @@ class TestRatioBeyondKernel:
         with pytest.raises(QuadratureError, match=name):
             sample_transmittance(BeamGeometry(aw, 1.0), seed=1, n=200_000, model="exact")
 
-    def test_kernel_names_first_ratio_in_row_order(self, monkeypatch):
-        # a stand-in chndtr, nan above a/W = 5; the rows of the broadcast
-        # hold a/W 1, 7 and 6, so the first nan lies in the row of 7
-        monkeypatch.setattr("scipy.special.chndtr", lambda x, df, nc: np.where(
-            x > 100.0, np.nan, chndtr(x, df, nc)))
-        with pytest.raises(QuadratureError, match=r"a_over_W=7\.0$"):
-            _eta_exact(np.array([0.5, 1.0]), np.array([[1.0], [7.0], [6.0]]))
+    def test_kernel_names_first_ratio_in_row_order(self):
+        # the rows of the broadcast hold a/W 1, 1e160 and 1e155, so the first
+        # that overflows is 1e160
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e\+160$"):
+            _eta_exact(np.array([0.5, 1.0]), np.array([[1.0], [1e160], [1e155]]))
 
     @pytest.mark.parametrize("aw", [2e5, 1e6])
     def test_approx_sampler_beyond_exact_kernel(self, aw):

@@ -175,18 +175,21 @@ class TestExitCodes:
         assert "a_over_W=1e+300" in err
 
     def test_exact_moments_far_beyond_rim_are_zero(self, capsys):
+        # the rule's nodes all lie far beyond the rim; <eta>, in closed form,
+        # is the aperture's share 1 / (2 sigma_b2) of the flat offset density
         code, out, _ = run(capsys, "curve", "--model", "exact", "--sigma-b2", "1e300",
                            "--steps", "2")
         assert code == 0
         _, rows = rows_of(out)
-        assert [row[2:] for row in rows] == [["0", "0", "0"]] * 2
+        assert [row[2:] for row in rows] == [["5e-301", "0", "5e-301"]] * 2
 
     def test_moment_beyond_kernel_is_computation_error(self, capsys):
-        code, out, err = run(capsys, "curve", "--model", "exact", "--aw-min", "1e5",
-                             "--aw-max", "2e5", "--steps", "2")
+        # the exact kernel holds until 4 (a/W)^2 overflows, near 6.7e153
+        code, out, err = run(capsys, "curve", "--model", "exact", "--aw-min", "1e150",
+                             "--aw-max", "1e155", "--steps", "2")
         assert code == 1
         assert out == ""
-        assert "a_over_W" in err
+        assert "a_over_W=1e+155" in err
 
 
 class TestCurve:
@@ -570,7 +573,7 @@ class TestStartUp:
 
     def test_approx_commands_load_no_scipy(self, tmp_path):
         # the Weibull matching sums its rim values in closed form and the fit
-        # searches a numpy grid; only the exact kernel imports scipy
+        # searches a numpy grid
         data = str(tmp_path / "s.txt")
         assert scipy_modules_after(
             ("curve", "--steps", "3"), ("ln-curve", "--steps", "3"),
@@ -578,9 +581,15 @@ class TestStartUp:
             ("sample", "--aw", "1", "--samples", "100", "--out", data),
             ("stats", data), ("fit", data)) == []
 
-    def test_exact_model_loads_scipy_special(self):
-        assert "scipy.special" in scipy_modules_after(
-            ("curve", "--model", "exact", "--steps", "3"))
+    def test_exact_model_loads_no_scipy(self, tmp_path):
+        # the exact kernel sums its own series and expansion on numpy
+        data = str(tmp_path / "s.txt")
+        assert scipy_modules_after(
+            ("curve", "--model", "exact", "--steps", "3"),
+            ("ln-curve", "--model", "exact", "--steps", "3"),
+            ("kr-curve", "--model", "exact", "--steps", "3"),
+            ("sample", "--model", "exact", "--aw", "1", "--samples", "100",
+             "--out", data)) == []
 
 
 # values every numeric flag is fuzzed with: finite floats (half of them in

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import chndtr
+from scipy.integrate import quad
 
+import beamfade.fading
 from beamfade.channel import (
     BeamGeometry,
     QuadratureError,
@@ -26,17 +27,12 @@ from beamfade.fading import (
     fading_excess_noise,
 )
 
-from oracles import exact_eta_mean, fading_moments
+from oracles import eta_rice_quadrature, exact_eta_mean, fading_moments
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 # error bound of `oracles.fading_moments`: its trapezoid rule is off by the
 # end term h^2/12 f'(0) <= 92 / (12 * 40000^2) = 4.8e-9, whatever sigma_b2
 ORACLE_TRAPEZOID_TOL = 5e-9
-
-
-def nan_above_k_100(x, df, nc):
-    """scipy's chndtr, but nan for x = k = 4 (a/W)^2 above 100, i.e. a/W above 5."""
-    return np.where(x > 100.0, np.nan, chndtr(x, df, nc))
 
 
 def three_se(values):
@@ -231,8 +227,7 @@ class TestAnalyticMoments:
         assert stats.sqrt_eta_mean <= 1e-299
 
     def test_exact_rim_below_rule_range(self):
-        # the same for the exact kernel, whose chndtr is nan at the rule's
-        # nodes there (k r^2 above about 1e20), where the transmittance is 0
+        # the same for the exact kernel, which is 0 at the rule's nodes there
         stats = analytic_moments(BeamGeometry(1.0, 1e300), model="exact")
         assert stats.sqrt_eta_mean <= 1e-299
 
@@ -241,6 +236,15 @@ class TestAnalyticMoments:
         # a beam far narrower than the aperture passes whole inside the rim
         # and not at all beyond it, so <eta> = <sqrt(eta)> = P(r <= 1)
         stats = analytic_moments(BeamGeometry(1e150, sigma_b2))
+        want = -math.expm1(-0.5 / sigma_b2)
+        assert stats.eta_mean == pytest.approx(want, rel=1e-12)
+        assert stats.sqrt_eta_mean == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma_b2", [0.3, 2.0])
+    def test_exact_hard_aperture_limit(self, sigma_b2):
+        # the same for the exact kernel, whose reach beyond the rim must not
+        # round onto the rim at this k
+        stats = analytic_moments(BeamGeometry(1e150, sigma_b2), model="exact")
         want = -math.expm1(-0.5 / sigma_b2)
         assert stats.eta_mean == pytest.approx(want, rel=1e-12)
         assert stats.sqrt_eta_mean == pytest.approx(want, rel=1e-12)
@@ -259,34 +263,45 @@ class TestAnalyticMoments:
             want = [exact_eta_mean(aw, sigma_b2) for aw in aws.tolist()]
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_nan_kernel_names_ratio(self):
-        # from a/W ~ 3.7e4 on the exact kernel is nan near the rim; at 2e5 it
-        # is nan at the rim itself, where the rule evaluates it before its nodes
-        with pytest.raises(QuadratureError, match="a_over_W"):
-            analytic_moments(BeamGeometry(2e5, 0.3), model="exact")
+    def test_large_ratio_matches_oracle(self):
+        # a beam 4e5 times narrower than the aperture: <sqrt(eta)> is the mass
+        # of the offset density inside the rim, P(r <= 1), plus the integral
+        # of density * (sqrt(eta) - [r <= 1]) over the 40 beam widths around
+        # the rim, with eta from the Rice-density quadrature
+        aw, s2 = 2e5, 0.3
+        stats = analytic_moments(BeamGeometry(aw, s2), model="exact")
+        width = 1.0 / (2.0 * aw)
 
-    def test_sweep_nan_names_first_ratio(self, monkeypatch):
-        # from a/W ~ 3.7e4 on, the window's nodes meet the nan band of the
-        # exact kernel at the rim (and chndtr takes seconds per geometry
-        # there), so a chndtr that is nan above k = 100 (a/W = 5) stands in
-        monkeypatch.setattr("scipy.special.chndtr", nan_above_k_100)
-        with pytest.raises(QuadratureError, match=r"a_over_W=6\.0$"):
-            _moments(np.array([1.0, 6.0, 8.0]), 0.3, "exact")
+        def excess(r):
+            return (r / s2 * math.exp(-r * r / (2.0 * s2))
+                    * (math.sqrt(eta_rice_quadrature(r, aw)) - (r <= 1.0)))
 
-    @pytest.mark.parametrize("aws", [[2e5], [2e5, 1e6]])
+        band = sum(quad(excess, a, b, epsabs=1e-16, limit=200)[0]
+                   for a, b in ((1.0 - 40.0 * width, 1.0), (1.0, 1.0 + 40.0 * width)))
+        assert stats.sqrt_eta_mean == pytest.approx(
+            -math.expm1(-0.5 / s2) + band, rel=1e-12)
+        assert stats.eta_mean == pytest.approx(exact_eta_mean(aw, s2), rel=1e-14)
+
+    def test_sweep_names_first_ratio_beyond_kernel(self):
+        # 4 (a/W)^2 overflows for 1e160 and 1e155; the error names the first
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e\+160:"):
+            _moments(np.array([1.0, 1e160, 1e155]), 0.3, "exact")
+
+    @pytest.mark.parametrize("aws", [[1e155], [1e155, 1e160]])
     def test_rim_check_spares_the_nodes(self, monkeypatch, aws):
-        # the kernel is nan at the rim itself here, and the rule checks that
-        # one value per a/W before it evaluates its 1560 nodes
+        # the Weibull rim matching, which places the rule's window, checks
+        # every a/W before the exact kernel evaluates the 1560 nodes
         seen = []
 
-        def counting_chndtr(x, df, nc):
-            seen.append(np.broadcast(x, df, nc).size)
-            return chndtr(x, df, nc)
+        def counting_kernel(r, a_over_W):
+            seen.append(np.size(r))
+            return exact_kernel(r, a_over_W)
 
-        monkeypatch.setattr("scipy.special.chndtr", counting_chndtr)
-        with pytest.raises(QuadratureError, match=r"a_over_W=200000\.0$"):
+        exact_kernel = beamfade.fading._eta_exact
+        monkeypatch.setattr(beamfade.fading, "_eta_exact", counting_kernel)
+        with pytest.raises(QuadratureError, match=r"a_over_W=1e\+155:"):
             _moments(np.array(aws), 0.3, "exact")
-        assert seen == [len(aws)]
+        assert seen == []
 
     def test_sweep_names_first_degenerate_matching(self):
         # the matching runs over the whole sweep; both 1e-300 and 1e300 leave

@@ -335,6 +335,17 @@ class TestHistogram:
             Histogram(bin_edges=np.array([0.0, 0.5, 1.0]),
                       counts=np.array([1, -2]))
 
+    @pytest.mark.parametrize("bad", [0.5, -0.5, 1.7, math.nan])
+    def test_rejects_fractional_or_negative_counts(self, bad):
+        # counts are checked before the cast to int, which would make 1.7
+        # into 1 and -0.5 into 0
+        with pytest.raises(ValueError, match=rf"^counts .*got {bad}$"):
+            Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([1.0, bad]))
+
+    def test_integral_float_counts_become_ints(self):
+        hist = Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([3.0, 0.0]))
+        assert hist.counts.dtype.kind == "i" and hist.counts.tolist() == [3, 0]
+
     def test_binned_model_agreement(self):
         # histogram of 1e6 synthetic samples vs model bin probabilities,
         # scored by Pearson chi-square on well-filled bins
