@@ -411,15 +411,19 @@ def eta_approx(r, params: WeibullParams):
 
 
 def _offset_cdf(t, t0, lam, scale, sigma_b2):
-    """(r(t), P(T <= t)), r(t) = scale (2 ln(t0/t))**(1/lam), broadcast over all five.
+    """(u, r(t), P(T <= t)), u = 2 ln(t0/t), r(t) = scale u**(1/lam), broadcast over all five.
 
     t is clipped into [0, t0]: t >= t0 gives r = 0 and CDF 1, t <= 0 r = inf and CDF 0.
     """
-    # + 0.0 turns a clipped -0.0 into 0.0, so t0/t is +inf there, not -inf;
-    # t0/t also overflows to inf for a subnormal t
+    # + 0.0 turns a clipped -0.0 into 0.0, so t0/t is +inf there, not -inf
+    t = np.clip(t, 0.0, t0) + 0.0
+    tiny = t < np.finfo(float).tiny
     with np.errstate(divide="ignore", over="ignore"):
-        r = scale * np.power(2.0 * np.log(t0 / (np.clip(t, 0.0, t0) + 0.0)), 1.0 / lam)
-    return r, np.exp(-np.square(r) / (2.0 * sigma_b2))
+        u = 2.0 * np.log(t0 / t)
+        if tiny.any():  # where t0/t overflows, ln t0 - ln t does not
+            u = np.where(tiny, 2.0 * (np.log(t0) - np.log(t)), u)
+        r = scale * np.power(u, 1.0 / lam)
+    return u, r, np.exp(-np.square(r) / (2.0 * sigma_b2))
 
 
 def pdt_density(t, params: WeibullParams, sigma_b2: float):
@@ -450,12 +454,12 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
-    r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
-    # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where the CDF is 0 (T <= 0,
-    # or subnormal with r = inf) or T >= t0, a 0/0, inf * 0 or log(< 0) gives way to 0
+    u, r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
+    # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where the CDF is 0 (T <= 0)
+    # or T >= t0, a 0/0 or inf * 0 gives way to 0.  Dividing by T last keeps a
+    # subnormal T from overflowing |dr/dT| where f(r) is small
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = 2.0 * np.log(params.t0 / t)
-        density = (r / sigma_b2) * cdf * (2.0 * r / (params.lam * t * u))
+        density = (r / sigma_b2) * cdf * (2.0 * r / (params.lam * u)) / t
     out = np.where((cdf > 0.0) & (t < params.t0), density, 0.0)
     return out if out.ndim else float(out)
 
@@ -470,7 +474,7 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
-    out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[1]
+    out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[2]
     return out if out.ndim else float(out)
 
 

@@ -1,9 +1,10 @@
 """Command-line interface: channel curves, key rates, fitting, sampling.
 
-Every subcommand emits CSV (or the plain-text sample format) to stdout or to
---out, with a single header row and 12 significant digits per value.  Exit
-status is 0 on success, 1 on a computation error, and 2 on an input or I/O
-error.
+Every subcommand returns its output as text pieces, CSV with a single header
+row and 12 significant digits per value (or the plain-text sample format),
+and `main` writes them once, to stdout or to --out, after the command has
+computed them, so a failed command writes nothing.  Exit status is 0 on
+success, 1 on a computation error, and 2 on an input or I/O error.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .ingest import SeriesFormatError, fit_geometry, parse_series
 from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 
-# samples `sample` formats per write, so its text never holds them all
+# samples `sample` formats per text piece, so its text never holds them all
 _SAMPLE_BLOCK = 65536
+# a/W values per moment-rule call, so a sweep of any length holds one block's nodes
+_SWEEP_BLOCK = 128
 
 
 def _fmt(x) -> str:
@@ -31,19 +34,11 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write(pieces, out_path):
-    """Write an iterable of text pieces, in turn, to `out_path` or stdout."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
-
-
-def _emit(header, rows, out_path):
+def _csv(header, rows):
+    """The CSV text of `header` and `rows`, as one text piece."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write(("\n".join(lines) + "\n",), out_path)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return ("\n".join(lines) + "\n",)
 
 
 def _checked(convert, ok, rule):
@@ -98,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("stats", help="moments of a measured series")
     p.set_defaults(run=cmd_stats)
-    p.add_argument("input", help="transmittance text file")
-    p.add_argument("--reference", type=_positive,
-                   help="divide raw values by this reference")
 
     p = commands.add_parser("curve", help="channel moments over an a/W sweep")
     p.set_defaults(run=cmd_curve)
@@ -133,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("fit", help="fit channel parameters to a series")
     p.set_defaults(run=cmd_fit)
-    p.add_argument("input", help="transmittance text file")
-    p.add_argument("--reference", type=_positive,
-                   help="divide raw values by this reference")
 
     p = commands.add_parser("sample", help="generate synthetic samples")
     p.set_defaults(run=cmd_sample)
@@ -150,8 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("approx", "exact"), default="approx",
                    help="transmittance model (default approx)")
 
-    # every command writes to --out, or to stdout without it
-    for p in commands.choices.values():
+    # stats and fit read a series; every command writes to --out, or to stdout
+    for name, p in commands.choices.items():
+        if name in ("stats", "fit"):
+            p.add_argument("input", help="transmittance text file")
+            p.add_argument("--reference", type=_positive,
+                           help="divide raw values by this reference")
         p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
@@ -161,94 +154,80 @@ def _read_series(args):
         return parse_series(fh, reference=args.reference, label=args.input)
 
 
-def _sweep(args):
-    """The moments of every geometry of a sweep, one moment-rule call per sigma_b2.
+def _sweep(args, columns):
+    """Yield the rows (a/W, sigma_b2, *columns) of a sweep over the a/W grid.
 
-    Returns one (sigma_b2, a/W, <eta>, <sqrt(eta)>) block per sigma_b2, the
-    last three as arrays over the a/W grid.
+    The moment rule runs once per sigma_b2 and block of _SWEEP_BLOCK a/W
+    values, and `columns(<eta>, <sqrt(eta)>)` maps the moments over the whole
+    grid to blocks of columns, arrays over the grid or scalars.  The rows run
+    over sigma_b2, then block of columns, then a/W.
     """
     if not args.aw_max > args.aw_min:
         raise ValueError("aw_max must exceed aw_min")
     grid = np.linspace(args.aw_min, args.aw_max, args.steps)
-    return [(s2, grid, *_moments(grid, s2, args.model)[:2])
-            for s2 in args.sigma_b2 or (0.3,)]
+    for s2 in args.sigma_b2 or (0.3,):
+        moments = (_moments(grid[i:i + _SWEEP_BLOCK], s2, args.model)[:2]
+                   for i in range(0, grid.size, _SWEEP_BLOCK))
+        for block in columns(*map(np.concatenate, zip(*moments))):
+            yield from np.column_stack(np.broadcast_arrays(grid, s2, *block)).tolist()
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     series = _read_series(args)
     stats = empirical_moments(series.samples)
     header = ("eta_mean", "sqrt_eta_mean", "var_sqrt_eta", "eta_max", "n")
-    row = (stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
-           stats.eta_max, series.count)
-    _emit(header, [row], args.out)
-    return 0
+    return _csv(header, [(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
+                          stats.eta_max, series.count)])
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args):
     header = ("a_over_W", "sigma_b2", "eta_mean", "sqrt_eta_mean", "var_sqrt_eta")
-    rows = [(aw, s2, m2, m1, m2 - m1 * m1)  # the clamp gives m2 >= m1 * m1
-            for s2, grid, *block in _sweep(args)
-            for aw, m2, m1 in zip(grid, *(x.tolist() for x in block))]
-    _emit(header, rows, args.out)
-    return 0
+    # the clamp gives m2 >= m1 * m1
+    return _csv(header, _sweep(args, lambda m2, m1: [(m2, m1, m2 - m1 * m1)]))
 
 
-def cmd_ln_curve(args) -> int:
-    variances = args.ln0 or args.variance or (7.0,)
+def cmd_ln_curve(args):
     header = ("a_over_W", "sigma_b2", "V", "LN")
-    rows = []
-    for s2, aw, eta_mean, sqrt_eta_mean in _sweep(args):
-        for v in variances:
-            ln = _log_negativity(v, eta_mean, sqrt_eta_mean, args.excess_noise)
-            rows.extend((a, s2, v, x) for a, x in zip(aw, ln))
-    _emit(header, rows, args.out)
-    return 0
+    return _csv(header, _sweep(args, lambda m2, m1: [
+        (v, _log_negativity(v, m2, m1, args.excess_noise))
+        for v in args.ln0 or args.variance or (7.0,)]))
 
 
-def cmd_kr_curve(args) -> int:
-    header = ["a_over_W", "sigma_b2", "V_used", "I_AB", "chi_BE", "KR"]
-    if not args.clamp:
-        header.append("KR_clamped")
-    rows = []
-    for s2, aw, eta_mean, sqrt_eta_mean in _sweep(args):
-        v = np.full(aw.shape, args.variance)
+def cmd_kr_curve(args):
+    header = ("a_over_W", "sigma_b2", "V_used", "I_AB", "chi_BE", "KR",
+              *(() if args.clamp else ("KR_clamped",)))
+
+    def columns(eta_mean, sqrt_eta_mean):
+        v = np.full(eta_mean.shape, args.variance)
         if args.optimize:
             v = _optimize(eta_mean, sqrt_eta_mean, args.excess_noise, args.beta)[0]
         i_ab, chi, kr = _rates(v, eta_mean, sqrt_eta_mean, args.excess_noise,
                                args.beta)
-        for a, v_used, i, x, k in zip(aw, v, i_ab, chi, kr):
-            tail = (max(0.0, k),) if args.clamp else (k, max(0.0, k))
-            rows.append((a, s2, v_used, i, x, *tail))
-    _emit(header, rows, args.out)
-    return 0
+        clamped = np.where(kr > 0.0, kr, 0.0)  # max(0, KR), 0 for -0 and nan
+        return [(v, i_ab, chi, *((clamped,) if args.clamp else (kr, clamped)))]
+    return _csv(header, _sweep(args, columns))
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     series = _read_series(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         result = fit_geometry(series)
-    for caught_warning in caught:
-        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
     if result.boundary:
-        print("warning: fit stopped on the search-domain boundary",
-              file=sys.stderr)
+        print("warning: fit stopped on the search-domain boundary", file=sys.stderr)
     header = ("sigma_b2", "a_over_W", "gof", "n")
-    row = (result.geometry.sigma_b2, result.geometry.a_over_W, result.gof,
-           series.count)
-    _emit(header, [row], args.out)
-    return 0
+    return _csv(header, [(result.geometry.sigma_b2, result.geometry.a_over_W,
+                          result.gof, series.count)])
 
 
-def cmd_sample(args) -> int:
-    geometry = BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2)
-    eta = sample_transmittance(geometry, seed=args.seed, n=args.samples,
-                               model=args.model)
-    header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
-              f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
-              f"seed={args.seed} model={args.model}\n")
-    _write(_sample_lines(header, eta), args.out)
-    return 0
+def cmd_sample(args):
+    # drawn here, so a failed draw raises before main opens --out
+    eta = sample_transmittance(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
+                               seed=args.seed, n=args.samples, model=args.model)
+    return _sample_lines(f"# transmittance samples a_over_W={_fmt(args.aw)} "
+                         f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
+                         f"seed={args.seed} model={args.model}\n", eta)
 
 
 def _sample_lines(header, eta):
@@ -263,13 +242,16 @@ def _sample_lines(header, eta):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (SeriesFormatError, OSError) as exc:
+        pieces = args.run(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (SeriesFormatError, OSError)) else 1
+    return 0
 
 
 def entry_point():

@@ -262,7 +262,7 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
 
     def objective(a_over_W, sigma_b2):
         # the model CDF of pdt_cdf, one grid row per geometry
-        model = _offset_cdf(t_grid, *_weibull(a_over_W[..., None]), sigma_b2[..., None])[1]
+        model = _offset_cdf(t_grid, *_weibull(a_over_W[..., None]), sigma_b2[..., None])[2]
         return np.mean((empirical - model) ** 2, axis=-1)
 
     (s_lo, s_hi), (a_lo, a_hi) = FIT_BOUNDS

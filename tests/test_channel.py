@@ -521,6 +521,26 @@ class TestPdtCdf:
         with pytest.raises(ValueError, match=rf"^t .*got {bad}$"):
             pdt_cdf(np.array([0.5, bad, math.nan]), weibull_params(1.0), 0.3)
 
+    @pytest.mark.parametrize("aw, s2", [(1.0, 1e300), (3.0, 0.3)])
+    def test_subnormal_coefficient(self, aw, s2):
+        # t0/t overflows below the normal floats; the reference takes
+        # u = 2 (ln t0 - ln t) and the density in logs, one t at a time
+        params = weibull_params(aw)
+        t = np.array([5e-324, 1e-310, 2.2e-308, 1e-300, 1e-10])
+        cdf, density = pdt_cdf(t, params, s2), pdt_density(t, params, s2)
+        assert np.all(np.diff(cdf) >= 0.0)
+        for x, c, d in zip(t.tolist(), cdf, density):
+            u = 2.0 * (math.log(params.t0) - math.log(x))
+            ln_r = math.log(params.scale) + math.log(u) / params.lam
+            half_r2_s2 = math.exp(2.0 * ln_r) / (2.0 * s2)
+            assert c == pytest.approx(math.exp(-half_r2_s2), rel=1e-12)
+            ln_density = (2.0 * ln_r - math.log(s2) - half_r2_s2
+                          + math.log(2.0 / (params.lam * u)) - math.log(x))
+            if ln_density < math.log(np.finfo(float).max):
+                assert d == pytest.approx(math.exp(ln_density), rel=1e-12)
+            else:  # at a/W 3 the density at 5e-324 is 1e314
+                assert d == math.inf
+
 
 class TestSampler:
 

@@ -6,15 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamfade
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
-from beamfade.cli import _fmt, main
+from beamfade.cli import _SWEEP_BLOCK, _fmt, _sweep, build_parser, main
 from beamfade.fading import _moments, analytic_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
@@ -253,6 +255,34 @@ class TestCurve:
                 BeamGeometry(float(row[0]), float(row[1])), model=model)
             assert row[2:] == [_fmt(stats.eta_mean), _fmt(stats.sqrt_eta_mean),
                                _fmt(stats.var_sqrt_eta)]
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("s2", [0.0, 0.05, 0.3, 2.0])
+    def test_blocked_sweep_is_one_whole_rule_call(self, model, s2):
+        # the rule runs on blocks of _SWEEP_BLOCK a/W values; its rows are
+        # independent, so the blocks join into the bits of one whole call
+        steps = 2 * _SWEEP_BLOCK + 3
+        args = build_parser().parse_args([
+            "curve", "--model", model, "--steps", str(steps), "--aw-min", "0.01",
+            "--aw-max", "30", "--sigma-b2", repr(s2)])
+        seen = []
+        rows = list(_sweep(args, lambda m2, m1: seen.append((m2, m1)) or [(m2, m1)]))
+        grid = np.linspace(0.01, 30.0, steps)
+        m2, m1, _ = _moments(grid, s2, model)
+        assert [(a.tobytes(), b.tobytes()) for a, b in seen] == [(m2.tobytes(), m1.tobytes())]
+        assert rows == np.column_stack([grid, np.full(steps, s2), m2, m1]).tolist()
+
+    def test_long_exact_sweep_in_bounded_memory(self, capsys):
+        # one whole rule call over 1000 a/W values peaks at about 122 MB
+        tracemalloc.start()
+        try:
+            code = main(["curve", "--model", "exact", "--steps", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1001
+        assert peak <= 40e6
 
 
 class TestLnCurve:
@@ -494,6 +524,58 @@ class TestSample:
         assert code == 0
         assert out == ""
         assert dst.read_text().startswith("# transmittance samples")
+
+
+@pytest.fixture(scope="module")
+def series_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("series") / "run.txt"
+    eta = sample_transmittance(BeamGeometry(1.0, 0.3), seed=5, n=5000)
+    path.write_text("".join(f"{x!r}\n" for x in eta.tolist()))
+    return str(path)
+
+
+class TestOutFile:
+    """Every command's text goes once to --out, or to stdout without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--model", "exact", "--steps", str(_SWEEP_BLOCK + 2)),
+        ("curve", "--sigma-b2", "0", "--sigma-b2", "0.3"),
+        ("ln-curve", "--ln0", "1", "--ln0", "3"),
+        ("kr-curve", "--optimize"),
+        ("kr-curve", "--clamp"),
+        ("stats", "SERIES"),
+        ("stats", "SERIES", "--reference", "2"),
+        ("fit", "SERIES"),
+        ("sample", "--aw", "1.5", "--model", "exact", "--samples", "1000"),
+    ])
+    def test_out_file_holds_stdout_text(self, tmp_path, capsys, series_path, argv):
+        argv = [series_path if a == "SERIES" else a for a in argv]
+        code, text, err = run(capsys, *argv)
+        assert code == 0 and text
+        dst = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(dst)) == (0, "", err)
+        assert dst.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("argv, status", [
+        (("curve", "--model", "exact", "--aw-min", "1e150", "--aw-max", "1e155",
+          "--steps", "2"), 1),
+        (("sample", "--aw", "1e155", "--model", "exact"), 1),
+        (("stats", "BAD"), 2),
+    ])
+    def test_failed_command_writes_no_out_file(self, tmp_path, capsys, argv, status):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0.5\noops\n")
+        argv = [str(bad) if a == "BAD" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (status, "") and err.startswith("error: ")
+        # main opens --out only once the command has returned its text, so the
+        # file is neither created nor truncated
+        absent, kept = tmp_path / "absent.csv", tmp_path / "kept.csv"
+        kept.write_text("kept\n")
+        assert run(capsys, *argv, "--out", str(absent)) == (status, "", err)
+        assert run(capsys, *argv, "--out", str(kept)) == (status, "", err)
+        assert not absent.exists()
+        assert kept.read_text() == "kept\n"
 
 
 class TestPipeline:
