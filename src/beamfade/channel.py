@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -455,12 +456,17 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     t = np.asarray(t, dtype=float)
     _require("t", t, True, "real")
     u, r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
-    # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where the CDF is 0 (T <= 0)
-    # or T >= t0, a 0/0 or inf * 0 gives way to 0.  Dividing by T last keeps a
-    # subnormal T from overflowing |dr/dT| where f(r) is small
+    # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where T <= 0 or T >= t0,
+    # a 0/0 or inf * 0 gives way to 0.  Dividing by T last keeps a subnormal T from
+    # overflowing |dr/dT| where f(r) is small.  Where the CDF factor leaves the
+    # normal floats, the density is one exponential of its summed logarithms
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        density = (r / sigma_b2) * cdf * (2.0 * r / (params.lam * u)) / t
-    out = np.where((cdf > 0.0) & (t < params.t0), density, 0.0)
+        density = np.where(
+            cdf >= np.finfo(float).tiny,
+            (r / sigma_b2) * cdf * (2.0 * r / (params.lam * u)) / t,
+            np.exp(2.0 * np.log(r) - np.square(r) / (2.0 * sigma_b2) - np.log(t)
+                   - np.log(u) + math.log(2.0 / params.lam) - math.log(sigma_b2)))
+    out = np.where((t > 0.0) & (t < params.t0), density, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -478,6 +484,33 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     return out if out.ndim else float(out)
 
 
+_SAMPLE_BLOCK = 65536  # offsets the sampler draws and maps at a time
+
+
+def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
+    """`sample_transmittance`'s samples, as a generator of blocks of _SAMPLE_BLOCK,
+    returned once every check has passed: n, seed, model and the model's limit
+    in a/W.  y comes from a second generator of the seed that has drawn and
+    discarded n values, so the blocks join into the draw of x, then of y."""
+    _require("n (sample count)", n, isinstance(n, (int, np.integer))
+             and not isinstance(n, bool) and n >= 1, "an integer >= 1")
+    _require("seed", seed, seed >= 0, ">= 0")
+    if model not in ("approx", "exact"):
+        raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
+    if model == "approx":
+        eta = partial(eta_approx, params=weibull_params(geometry.a_over_W))
+    else:
+        _eta_exact(0.0, geometry.a_over_W)  # raises where 4 (a/W)^2 overflows
+        eta = partial(_eta_exact, a_over_W=geometry.a_over_W)
+    sigma = math.sqrt(geometry.sigma_b2)
+    sizes = [min(_SAMPLE_BLOCK, n - start) for start in range(0, n, _SAMPLE_BLOCK)]
+    xs, ys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in sizes:
+        ys.normal(0.0, sigma, size=size)
+    return (eta(np.hypot(xs.normal(0.0, sigma, size=size), ys.normal(0.0, sigma, size=size)))
+            for size in sizes)
+
+
 def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
                          model: str = "approx") -> np.ndarray:
     """Monte-Carlo sample of intensity transmittances eta.
@@ -485,7 +518,9 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     Draws the beam-center coordinates x, y independently from a zero-mean
     normal with variance sigma_b2, sets r = sqrt(x^2 + y^2) and maps each
     offset through the Weibull approximation (default) or the exact clipping
-    transmittance.  Identical seed and parameters give an identical sequence.
+    transmittance.  Identical seed and parameters give an identical sequence:
+    all of x, then all of y, from `numpy.random.default_rng(seed)`, drawn and
+    mapped in blocks of 65536 that the result joins (16 B per sample at peak).
 
     Parameters
     ----------
@@ -506,16 +541,4 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     QuadratureError
         If a/W is above about 6.7e153, where 4 (a/W)^2 overflows in either model.
     """
-    _require("n (sample count)", n, isinstance(n, (int, np.integer))
-             and not isinstance(n, bool) and n >= 1, "an integer >= 1")
-    _require("seed", seed, seed >= 0, ">= 0")
-    if model not in ("approx", "exact"):
-        raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(geometry.sigma_b2)
-    x = rng.normal(0.0, sigma, size=n)
-    y = rng.normal(0.0, sigma, size=n)
-    r = np.hypot(x, y)
-    if model == "approx":
-        return eta_approx(r, weibull_params(geometry.a_over_W))
-    return _eta_exact(r, geometry.a_over_W)
+    return np.concatenate([*_sample_blocks(geometry, seed, n, model)])

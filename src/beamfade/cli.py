@@ -2,9 +2,11 @@
 
 Every subcommand returns its output as text pieces, CSV with a single header
 row and 12 significant digits per value (or the plain-text sample format),
-and `main` writes them once, to stdout or to --out, after the command has
-computed them, so a failed command writes nothing.  Exit status is 0 on
-success, 1 on a computation error, and 2 on an input or I/O error.
+and `main` writes them once, to stdout or to --out.  Every command checks its
+inputs before it returns, so a failed command writes nothing: `sample` then
+draws and formats its samples block by block as they are written, and the
+others have computed their whole output.  Exit status is 0 on success, 1 on a
+computation error, and 2 on an input or I/O error.
 """
 
 from __future__ import annotations
@@ -13,17 +15,15 @@ import argparse
 import math
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
-from .channel import BeamGeometry, sample_transmittance
+from .channel import BeamGeometry, _sample_blocks
 from .fading import _moments, empirical_moments
 from .ingest import SeriesFormatError, fit_geometry, parse_series
 from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
-
-# samples `sample` formats per text piece, so its text never holds them all
-_SAMPLE_BLOCK = 65536
 # a/W values per moment-rule call, so a sweep of any length holds one block's nodes
 _SWEEP_BLOCK = 128
 
@@ -222,21 +222,15 @@ def cmd_fit(args):
 
 
 def cmd_sample(args):
-    # drawn here, so a failed draw raises before main opens --out
-    eta = sample_transmittance(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
-                               seed=args.seed, n=args.samples, model=args.model)
-    return _sample_lines(f"# transmittance samples a_over_W={_fmt(args.aw)} "
-                         f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
-                         f"seed={args.seed} model={args.model}\n", eta)
-
-
-def _sample_lines(header, eta):
-    """The header, then the samples in blocks of _SAMPLE_BLOCK lines."""
-    yield header
-    for start in range(0, eta.size, _SAMPLE_BLOCK):
-        block = eta[start:start + _SAMPLE_BLOCK]
-        # one %-format per block: the same text as f"{x:.17g}" per line
-        yield "%.17g\n" * block.size % tuple(block.tolist())
+    # the checks run here, so a failing sample raises before main opens --out;
+    # the samples are then drawn block by block as main writes them
+    blocks = _sample_blocks(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
+                            args.seed, args.samples, args.model)
+    header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
+              f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
+              f"seed={args.seed} model={args.model}\n")
+    # one %-format per block: the same text as f"{x:.17g}" per line
+    return chain([header], ("%.17g\n" * eta.size % tuple(eta.tolist()) for eta in blocks))
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,9 @@ an error.  An optional reference value divides the raw readings, so detector
 voltages can be brought to the [0, 1] transmittance scale without external
 calibration.  Errors name the first offending line, in file order.
 
-Besides the text itself, parsing holds at most 16 bytes per sample (the
-float64 samples of the text's pieces and their concatenation) and the Python
-lines of one piece of about 64 Ki characters.
+Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
+holds 16 bytes per sample (the float64 samples of the pieces and their
+concatenation), besides the text and the Python lines of one piece.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ _FIT_CANDIDATES = 4
 
 SMALL_SERIES_WARN = 1000
 
-# parse_series converts the text in pieces of about this many characters, so
-# only one piece's lines are Python objects at a time
+# parse_series reads and converts the text in pieces of about this many
+# characters (bytes, from bytes), so only one piece is held as text at a time
 _PIECE_CHARS = 1 << 16
 
 
@@ -131,57 +131,79 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
     """
     if reference is not None and not (np.isfinite(reference) and reference > 0):
         raise SeriesFormatError(f"reference must be positive, got {reference}")
-    if hasattr(stream, "read"):
-        raw = stream.read()
-    else:
-        raw = stream
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8-sig")  # drops a leading BOM; exc.start counts after it
-        except UnicodeDecodeError as exc:
-            line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
-            raise SeriesFormatError(f"input is not valid UTF-8: {exc}", line) from None
-    else:
-        raw = raw.removeprefix("\ufeff")  # the mark utf-8-sig drops from bytes
-
     arrays = []
-    for piece in _pieces(raw):
+    pieces = _lines(stream)
+    for before, lines in pieces:
         # float() strips less than str.strip() (not U+001F), so parse stripped text
-        data = [text for text in map(str.strip, piece.splitlines())
-                if text[:1] not in ("", "#")]
+        data = [text for text in map(str.strip, lines) if text[:1] not in ("", "#")]
         try:
-            arrays.append(np.fromiter(map(float, data), float, len(data)))
+            values = np.fromiter(map(float, data), float, len(data))
         except ValueError:
-            raise _first_fault(raw, reference) from None
+            values = np.full(1, np.nan)  # fails the band check below
+        with np.errstate(over="ignore"):  # an overflow to inf fails the band check
+            values /= reference or 1.0
+        # nan fails both comparisons, so this also rejects non-finite values
+        if not np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
+            fault = _first_fault(lines, before, reference)
+            for _ in pieces:  # invalid UTF-8 further on comes first, as in a decode of all
+                pass
+            raise fault
+        arrays.append(np.clip(values, 0.0, 1.0, out=values))
     if not sum(map(len, arrays)):
         raise SeriesFormatError("no samples found")
     values = np.concatenate(arrays)
     del arrays  # a second copy of the samples
-    with np.errstate(over="ignore"):  # an overflow to inf fails the band check
-        values /= reference or 1.0
-    # nan fails both comparisons, so this also rejects non-finite values
-    if not np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
-        raise _first_fault(raw, reference)
-    return TransmittanceSeries(np.clip(values, 0.0, 1.0, out=values), source_label=label)
+    return TransmittanceSeries(values, source_label=label)
 
 
-def _pieces(raw):
-    """`raw` cut just after a line feed about every `_PIECE_CHARS` characters.
+def _pieces(stream):
+    """The text or bytes of `stream`, read _PIECE_CHARS at a time and cut just
+    after the last line feed of each read.  A line feed ends a line, never
+    starts a CR LF and never occurs inside a multi-byte UTF-8 sequence, so the
+    pieces hold the text's lines and each decodes on its own.  Text with no
+    line feed is one piece."""
+    if hasattr(stream, "read"):
+        reads = iter(lambda: stream.read(_PIECE_CHARS) or None, None)
+    else:
+        reads = (stream[i:i + _PIECE_CHARS] for i in range(0, len(stream), _PIECE_CHARS))
+    held = []  # the reads since the last line feed
+    for read in reads:
+        head, lf, tail = read.rpartition(b"\n" if isinstance(read, bytes) else "\n")
+        if lf:
+            yield read[:0].join([*held, head, lf])
+            held = []
+        held.append(tail)
+    if any(held):
+        yield held[0][:0].join(held)
 
-    A line feed always ends a line and never starts a two-character line end
-    (CR LF), so the lines of the pieces are the lines of `raw`.  Text with no
-    line feed is one piece.
-    """
-    start = 0
-    while start < len(raw):
-        stop = raw.find("\n", start + _PIECE_CHARS - 1) + 1 or len(raw)
-        yield raw[start:stop]
-        start = stop
+
+def _lines(stream):
+    """(lines before, lines) of each piece of `stream`, without a leading mark."""
+    before = offset = 0  # offset: the bytes before the piece, after a mark
+    for i, piece in enumerate(_pieces(stream)):
+        if not i:
+            piece = piece.removeprefix(b"\xef\xbb\xbf" if isinstance(piece, bytes) else "\ufeff")
+        text = piece
+        if isinstance(piece, bytes):
+            try:
+                text = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # str(exc), but counting bytes from the text's start, not the piece's
+                a, b = offset + exc.start, offset + exc.end - 1
+                where = (f"byte 0x{piece[exc.start]:02x} in position {a}" if a == b
+                         else f"bytes in position {a}-{b}")
+                line = before + len((piece[:exc.start].decode("utf-8") + "x").splitlines())
+                raise SeriesFormatError("input is not valid UTF-8: 'utf-8' codec can't "
+                                        f"decode {where}: {exc.reason}", line) from None
+            offset += len(piece)
+        lines = text.splitlines()
+        yield before, lines
+        before += len(lines)
 
 
-def _first_fault(raw, reference) -> SeriesFormatError:
-    """The error for the first line, in file order, that `parse_series` rejects."""
-    for number, text in enumerate(map(str.strip, raw.splitlines()), start=1):
+def _first_fault(lines, before, reference) -> SeriesFormatError:
+    """The error for the first line, numbered on from `before`, that `parse_series` rejects."""
+    for number, text in enumerate(map(str.strip, lines), start=before + 1):
         if text[:1] in ("", "#"):
             continue
         try:

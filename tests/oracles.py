@@ -37,6 +37,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import i0e, i1e
 from scipy.stats import ncx2
 
+from beamfade.channel import eta_approx, exact_eta_at_offset, weibull_params
+
 # symplectic form, (x1, p1, x2, p2) ordering
 OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -343,3 +345,17 @@ def parse_series_loop(raw, reference=None, edge=0.01):
     if not values:
         raise ValueError("no samples found")
     return values
+
+
+def sample_whole(geometry, seed, n, model="approx"):
+    """The sampler's draw as one whole array: all n values of x, then all n of y,
+    from one `numpy.random.default_rng(seed)`, mapped through the public
+    transmittance of the model.  The library draws and maps in blocks."""
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(geometry.sigma_b2)
+    x = rng.normal(0.0, sigma, size=n)
+    y = rng.normal(0.0, sigma, size=n)
+    r = np.hypot(x, y)
+    if model == "approx":
+        return eta_approx(r, weibull_params(geometry.a_over_W))
+    return exact_eta_at_offset(r, geometry.a_over_W)

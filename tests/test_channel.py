@@ -19,6 +19,7 @@ from beamfade.channel import (
     WeibullParams,
     _eta_exact,
     _rim,
+    _sample_blocks,
     _weibull,
     eta_approx,
     exact_eta_at_offset,
@@ -29,7 +30,13 @@ from beamfade.channel import (
     weibull_params,
 )
 
-from oracles import eta_disc_2d, eta_of_offset, eta_rice_quadrature, weibull_closed_form
+from oracles import (
+    eta_disc_2d,
+    eta_of_offset,
+    eta_rice_quadrature,
+    sample_whole,
+    weibull_closed_form,
+)
 
 AW_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -448,9 +455,43 @@ class TestPdtDensity:
         assert pdt_density(0.0, params, 0.3) == 0.0
         assert pdt_density(-0.2, params, 0.3) == 0.0
         # the same edges as one array, -0.0 and a subnormal included, without
-        # a RuntimeWarning
+        # a RuntimeWarning; the subnormal is inside the support, where the
+        # density is 1.12e-174, although its CDF factor underflows to 0
         t = np.array([-0.2, -0.0, 0.0, 5e-324, params.t0, 1.0, 2.0])
-        assert pdt_density(t, params, 0.3).tolist() == [0.0] * 7
+        got = pdt_density(t, params, 0.3).tolist()
+        assert got[:3] + got[4:] == [0.0] * 6
+        assert got[3] == pytest.approx(1.12124189e-174, rel=1e-8)
+
+    @pytest.mark.parametrize("t, want", [(4.5e-197, 2.35055609e-127), (1e-200, 6.76379190e-129)])
+    def test_underflowing_cdf_factor(self, t, want):
+        # exp(-r^2 / (2 sigma_b2)) is subnormal or 0 here, while the density,
+        # summed in logs one factor at a time, is a normal float
+        params, s2 = weibull_params(1.0), 0.3
+        u = 2.0 * (math.log(params.t0) - math.log(t))
+        r = params.scale * u ** (1.0 / params.lam)
+        assert math.exp(-r * r / (2.0 * s2)) < np.finfo(float).tiny
+        ln_density = (math.log(r / s2) - r * r / (2.0 * s2)
+                      + math.log(2.0 * r / (params.lam * u)) - math.log(t))
+        got = pdt_density(t, params, s2)
+        assert got == pytest.approx(math.exp(ln_density), rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("aw", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("s2", [1e-3, 0.3, 10.0, 1e300])
+    def test_product_kept_where_cdf_factor_is_normal(self, aw, s2):
+        # where the CDF factor is a normal float, the density is the product
+        # of its factors, as computed before the summed-log form was added
+        params = weibull_params(aw)
+        t = np.concatenate([np.geomspace(1e-320, params.t0, 4000, endpoint=False),
+                            params.t0 * (1.0 - np.geomspace(1e-15, 1e-1, 400))])
+        u, r, cdf = beamfade.channel._offset_cdf(t, params.t0, params.lam, params.scale, s2)
+        normal = cdf >= np.finfo(float).tiny
+        with np.errstate(over="ignore"):
+            product = (r / s2) * cdf * (2.0 * r / (params.lam * u)) / t
+        got = pdt_density(t, params, s2)
+        finite = normal & np.isfinite(product) & (product > 0.0)
+        assert finite.sum() > 100
+        np.testing.assert_allclose(got[finite], product[finite], rtol=1e-13, atol=0.0)
 
     def test_non_negative_inside(self):
         params = weibull_params(1.0)
@@ -590,6 +631,27 @@ class TestSampler:
     def test_rejects_negative_seed(self, seed):
         with pytest.raises(ValueError, match="^seed "):
             sample_transmittance(BeamGeometry(1.0, 0.3), seed=seed, n=3)
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("seed", [1, 7, 20260819])
+    # the sampler draws and maps blocks of 65536 offsets
+    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 200001])
+    def test_blocks_join_into_whole_draw(self, n, seed, model):
+        geom = BeamGeometry(1.3, 0.4)
+        got = sample_transmittance(geom, seed=seed, n=n, model=model)
+        assert got.tobytes() == sample_whole(geom, seed, n, model).tobytes()
+
+    @pytest.mark.parametrize("geom, seed, n, model, error", [
+        (BeamGeometry(1.0, 0.3), 1, 0, "approx", ValueError),
+        (BeamGeometry(1.0, 0.3), -1, 3, "approx", ValueError),
+        (BeamGeometry(1.0, 0.3), 1, 3, "other", ValueError),
+        (BeamGeometry(1e155, 0.3), 1, 3, "approx", QuadratureError),
+        (BeamGeometry(1e155, 0.3), 1, 3, "exact", QuadratureError),
+    ])
+    def test_blocks_checked_before_first_block(self, geom, seed, n, model, error):
+        # the block generator is returned only once every check has passed
+        with pytest.raises(error):
+            _sample_blocks(geom, seed, n, model)
 
 
 class TestRatioBeyondKernel:

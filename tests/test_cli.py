@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 import beamfade
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
-from beamfade.cli import _SWEEP_BLOCK, _fmt, _sweep, build_parser, main
+from beamfade.cli import _SWEEP_BLOCK, _fmt, _sweep, build_parser, cmd_sample, main
 from beamfade.fading import _moments, analytic_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
+
+from oracles import sample_whole
 
 
 def run(capsys, *argv):
@@ -490,6 +492,32 @@ class TestSample:
                   f"seed=11 model={model}")
         assert out == "\n".join([header, *(f"{x:.17g}" for x in eta)]) + "\n"
 
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    @pytest.mark.parametrize("seed", [1, 7, 20260819])
+    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 200001])
+    def test_text_is_whole_draw(self, capsys, n, seed, model):
+        # the samples are drawn, mapped and written in blocks; their text is
+        # that of one draw of all of x, then all of y
+        code, out, _ = run(capsys, "sample", "--aw", "1.3", "--sigma-b2", "0.4",
+                           "--samples", str(n), "--seed", str(seed), "--model", model)
+        assert code == 0
+        eta = sample_whole(BeamGeometry(1.3, 0.4), seed, n, model)
+        assert out.partition("\n")[2] == "%.17g\n" * n % tuple(eta.tolist())
+
+    @pytest.mark.parametrize("n", [100_000, 2_000_000])
+    def test_text_in_bounded_memory(self, n):
+        # each block of 65536 samples is drawn and formatted as it is written,
+        # so the pieces of any count peak at about 5 MB
+        args = build_parser().parse_args(["sample", "--aw", "1", "--samples", str(n)])
+        tracemalloc.start()
+        try:
+            lines = sum(piece.count("\n") for piece in cmd_sample(args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == n + 1
+        assert peak <= 8 * 2**20
+
     @pytest.mark.parametrize("n", [1, 65536, 65537])
     def test_out_file_holds_stdout_text(self, tmp_path, capsys, n):
         argv = ("sample", "--aw", "1.5", "--samples", str(n), "--seed", "11")
@@ -561,6 +589,7 @@ class TestOutFile:
           "--steps", "2"), 1),
         (("sample", "--aw", "1e155", "--model", "exact"), 1),
         (("stats", "BAD"), 2),
+        (("sample", "--aw", "1e155"), 1),
     ])
     def test_failed_command_writes_no_out_file(self, tmp_path, capsys, argv, status):
         bad = tmp_path / "bad.txt"
@@ -568,8 +597,8 @@ class TestOutFile:
         argv = [str(bad) if a == "BAD" else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (status, "") and err.startswith("error: ")
-        # main opens --out only once the command has returned its text, so the
-        # file is neither created nor truncated
+        # main opens --out only once the command has checked its inputs and
+        # returned its text, so the file is neither created nor truncated
         absent, kept = tmp_path / "absent.csv", tmp_path / "kept.csv"
         kept.write_text("kept\n")
         assert run(capsys, *argv, "--out", str(absent)) == (status, "", err)

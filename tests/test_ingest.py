@@ -259,6 +259,45 @@ class TestParseSeriesPieces:
                 == text.splitlines()
             assert_agrees_with_loop(text, reference)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=series_files(), piece_chars=st.integers(min_value=1, max_value=12),
+           reference=st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
+           mark=st.sampled_from([b"", b"\xef\xbb\xbf"]),
+           bad=st.sampled_from([b"", b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"]),
+           where=st.floats(min_value=0.0, max_value=1.0))
+    # a band fault, then invalid UTF-8, in later pieces: the decode of the
+    # whole text meets the invalid byte first
+    @example(text="0.5\n0.25\n1.5\n0.75\n0.5\n", piece_chars=3, reference=None,
+             mark=b"\xef\xbb\xbf", bad=b"\xff", where=0.9)
+    @example(text="0.5\n0.25\n0.75\n0.5\n1.5\n", piece_chars=2, reference=None,
+             mark=b"", bad=b"\xe2\x82", where=0.5)
+    def test_streams_agree_with_whole_text(self, text, piece_chars, reference, mark,
+                                           bad, where):
+        cut = int(where * len(text))
+        raw = mark + text[:cut].encode() + bad + text[cut:].encode()
+
+        def outcome(stream):
+            try:
+                return parse_series(stream, reference=reference).samples.tobytes()
+            except SeriesFormatError as exc:
+                return str(exc), exc.line_number
+
+        whole = outcome(raw)
+        try:
+            decoded = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # the byte position counts from after the mark, as utf-8-sig's does
+            assert whole[0].endswith(f": input is not valid UTF-8: {exc}")
+            decoded = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_PIECE_CHARS", piece_chars)
+            assert outcome(io.BytesIO(raw)) == whole
+            assert outcome(raw) == whole
+            if decoded is not None:
+                text = raw.decode("utf-8")  # the mark kept, as from a stream opened as UTF-8
+                assert outcome(io.StringIO(text, newline="")) == whole
+                assert outcome(text) == whole
+
     def test_memory_per_sample(self):
         # float64 pieces plus their concatenation are 16 B per sample; one
         # Python str per line would cost about 87 B
@@ -271,6 +310,20 @@ class TestParseSeriesPieces:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * n + 2**20
+
+    def test_memory_per_sample_from_byte_stream(self):
+        # the bytes are read and decoded a piece at a time; the decoded text of
+        # the whole stream would cost about 19 B per sample more
+        n = 200_000
+        text = "%.17g\n" * n % tuple(np.random.default_rng(0).random(n).tolist())
+        stream = io.BytesIO(text.encode())
+        tracemalloc.start()
+        try:
+            assert parse_series(stream).count == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * n + 2**21
 
 
 class TestTransmittanceSeries:
