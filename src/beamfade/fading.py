@@ -64,21 +64,16 @@ class FadingStats:
     eta_max: float
 
     def __post_init__(self):
+        eps = 1e-9
+        _require("eta_max", self.eta_max, self.eta_max <= 1.0 + eps, "<= 1")
+        _require("sqrt_eta_mean", self.sqrt_eta_mean, self.sqrt_eta_mean >= 0.0, ">= 0")
         identity = self.eta_mean - self.sqrt_eta_mean * self.sqrt_eta_mean
-        if abs(self.var_sqrt_eta - identity) > 1e-9:
-            raise ValueError(
-                f"var_sqrt_eta={self.var_sqrt_eta} violates the moment identity "
-                f"<eta> - <sqrt(eta)>^2 = {identity}")
-        if identity < -1e-9:
-            raise ValueError(f"negative Var(sqrt(eta)): {identity}")
+        _require("eta_mean", self.eta_mean, identity >= -eps
+                 and self.eta_mean <= self.eta_max + eps, "in [<sqrt(eta)>^2, eta_max]")
+        _require("var_sqrt_eta", self.var_sqrt_eta, abs(self.var_sqrt_eta - identity) <= eps,
+                 f"<eta> - <sqrt(eta)>^2 = {identity}")
         # roundoff can leave a tiny negative variance for a constant channel
         object.__setattr__(self, "var_sqrt_eta", max(identity, 0.0))
-        eps = 1e-9
-        if not (0.0 <= self.sqrt_eta_mean and self.eta_mean <= self.eta_max + eps
-                and self.eta_max <= 1.0 + eps):
-            raise ValueError(
-                f"moments out of order: <sqrt(eta)>={self.sqrt_eta_mean}, "
-                f"<eta>={self.eta_mean}, eta_max={self.eta_max}")
 
 
 def _panel_edges(lo, hi):

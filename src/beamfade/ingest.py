@@ -11,8 +11,9 @@ voltages can be brought to the [0, 1] transmittance scale without external
 calibration.  Errors name the first offending line, in file order.
 
 Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
-holds 16 bytes per sample (the float64 samples of the pieces and their
-concatenation), besides the text and the Python lines of one piece.
+decodes, converts and checks one piece at a time, holding only its text and
+Python lines; the result still peaks at 16 bytes per sample (the float64
+samples of the pieces and their concatenation).
 """
 
 from __future__ import annotations
@@ -131,28 +132,9 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
     """
     if reference is not None and not (np.isfinite(reference) and reference > 0):
         raise SeriesFormatError(f"reference must be positive, got {reference}")
-    arrays = []
-    pieces = _lines(stream)
-    for before, lines in pieces:
-        # float() strips less than str.strip() (not U+001F), so parse stripped text
-        data = [text for text in map(str.strip, lines) if text[:1] not in ("", "#")]
-        try:
-            values = np.fromiter(map(float, data), float, len(data))
-        except ValueError:
-            values = np.full(1, np.nan)  # fails the band check below
-        with np.errstate(over="ignore"):  # an overflow to inf fails the band check
-            values /= reference or 1.0
-        # nan fails both comparisons, so this also rejects non-finite values
-        if not np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
-            fault = _first_fault(lines, before, reference)
-            for _ in pieces:  # invalid UTF-8 further on comes first, as in a decode of all
-                pass
-            raise fault
-        arrays.append(np.clip(values, 0.0, 1.0, out=values))
-    if not sum(map(len, arrays)):
+    values = np.concatenate([np.empty(0), *_series_pieces(stream, reference)])
+    if not values.size:
         raise SeriesFormatError("no samples found")
-    values = np.concatenate(arrays)
-    del arrays  # a second copy of the samples
     return TransmittanceSeries(values, source_label=label)
 
 
@@ -177,28 +159,44 @@ def _pieces(stream):
         yield held[0][:0].join(held)
 
 
-def _lines(stream):
-    """(lines before, lines) of each piece of `stream`, without a leading mark."""
-    before = offset = 0  # offset: the bytes before the piece, after a mark
+def _series_pieces(stream, reference):
+    """The samples of each piece of `stream`, without a leading mark, divided by
+    `reference`, band-checked and clipped to [0, 1].  A rejected line is raised
+    only after the whole stream is decoded, as invalid UTF-8 further on comes
+    first, so a consumer must run it to the end before writing any output."""
+    fault, before, offset = None, 0, 0  # offset: the bytes before the piece, after a mark
     for i, piece in enumerate(_pieces(stream)):
         if not i:
             piece = piece.removeprefix(b"\xef\xbb\xbf" if isinstance(piece, bytes) else "\ufeff")
-        text = piece
-        if isinstance(piece, bytes):
-            try:
-                text = piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # str(exc), but counting bytes from the text's start, not the piece's
-                a, b = offset + exc.start, offset + exc.end - 1
-                where = (f"byte 0x{piece[exc.start]:02x} in position {a}" if a == b
-                         else f"bytes in position {a}-{b}")
-                line = before + len((piece[:exc.start].decode("utf-8") + "x").splitlines())
-                raise SeriesFormatError("input is not valid UTF-8: 'utf-8' codec can't "
-                                        f"decode {where}: {exc.reason}", line) from None
-            offset += len(piece)
+        try:
+            text = piece.decode("utf-8") if isinstance(piece, bytes) else piece
+        except UnicodeDecodeError as exc:
+            # str(exc), but counting bytes from the text's start, not the piece's
+            a, b = offset + exc.start, offset + exc.end - 1
+            where = (f"byte 0x{piece[exc.start]:02x} in position {a}" if a == b
+                     else f"bytes in position {a}-{b}")
+            line = before + len((piece[:exc.start].decode("utf-8") + "x").splitlines())
+            raise SeriesFormatError("input is not valid UTF-8: 'utf-8' codec can't "
+                                    f"decode {where}: {exc.reason}", line) from None
+        offset += len(piece)
         lines = text.splitlines()
-        yield before, lines
+        if fault is None:
+            # float() strips less than str.strip() (not U+001F), so parse stripped text
+            data = [line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
+            try:
+                values = np.fromiter(map(float, data), float, len(data))
+            except ValueError:
+                values = np.full(1, np.nan)  # fails the band check below
+            with np.errstate(over="ignore"):  # an overflow to inf fails the band check
+                values /= reference or 1.0
+            # nan fails both comparisons, so this also rejects non-finite values
+            if np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
+                yield np.clip(values, 0.0, 1.0, out=values)
+            else:
+                fault = _first_fault(lines, before, reference)
         before += len(lines)
+    if fault is not None:
+        raise fault
 
 
 def _first_fault(lines, before, reference) -> SeriesFormatError:

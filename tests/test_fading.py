@@ -57,6 +57,14 @@ class TestFadingStats:
             FadingStats(eta_mean=0.95, sqrt_eta_mean=0.9, var_sqrt_eta=0.14,
                         eta_max=0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eta_mean", "sqrt_eta_mean", "var_sqrt_eta",
+                                       "eta_max"])
+    def test_non_finite_field_named(self, field, bad):
+        fields = dict(eta_mean=0.3, sqrt_eta_mean=0.5, var_sqrt_eta=0.05, eta_max=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FadingStats(**{**fields, field: bad})
+
     def test_tiny_negative_roundoff_clamped(self):
         stats = FadingStats(eta_mean=0.25, sqrt_eta_mean=0.5,
                             var_sqrt_eta=-1e-17, eta_max=0.25)

@@ -325,6 +325,20 @@ class TestParseSeriesPieces:
             tracemalloc.stop()
         assert peak <= 18 * n + 2**21
 
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_pieces_in_bounded_memory(self, n):
+        # a consumer that keeps only a running count holds one piece at a time,
+        # its text, lines and samples, whatever the length of the stream
+        stream = io.BytesIO(b"0.123456789012345678\n" * n)
+        tracemalloc.start()
+        try:
+            count = sum(piece.size for piece in ingest._series_pieces(stream, None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n
+        assert peak <= 2**21
+
 
 class TestTransmittanceSeries:
 
