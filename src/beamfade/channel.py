@@ -111,7 +111,7 @@ _REACH = 1500.0
 _HANKEL_XI = 40.0
 _HANKEL_TERMS = 16
 _K_SERIES = 200.0
-_SERIES_ROWS = 256
+_SERIES_TABLES = 256
 
 
 def _series_terms(kr):
@@ -145,16 +145,15 @@ def _power_sum(x, row, coef, count):
     return out
 
 
-def _eta_series(r, k, want):
-    """eta at the wanted offsets of rows r, one k <= _K_SERIES per row (a column).
+def _eta_series(r, k, row):
+    """eta at offsets r, elementwise, r[i] by the table of k[row[i]], k a column <= _K_SERIES.
 
     With N1 ~ Poisson(k/2) and N2 ~ Poisson(k r^2/2), eta = P(N1 - N2 >= 1)
     (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions 2, ch. 29)
     = exp(-k r^2/2) sum_j P(N1 > j) (k/2)^j/j! r^(2j), and 1 - eta the same sum
     with P(N1 <= j).  Every term is >= 0.  Offsets more than 1/sqrt(k) inside
     the rim, where eta > 1/2, take 1 - eta, which keeps eta near 1 to an ulp.
-    Each entry runs for its own term count, so that it is the same in every
-    call.  Returns the wanted entries in row-major order.
+    Each entry runs for its own term count, so that it is the same in every call.
     """
     reach = 1.0 + np.sqrt(_REACH / np.maximum(k, 1e-300))
     # (k/2)^j/j! and P(N1 = j), to a length set by k alone, so that P(N1 > j),
@@ -167,10 +166,9 @@ def _eta_series(r, k, want):
     pmf = np.exp(-lam) * power
     tail = np.concatenate([np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1],
                            np.zeros_like(lam)], axis=1)
-    # coefficient rows 2i for eta and 2i + 1 for 1 - eta at k of row i
+    # coefficient rows 2i for eta and 2i + 1 for 1 - eta by table i
     coef = np.stack([tail, np.cumsum(pmf, axis=1)], axis=1) * power[:, None]
-    row = np.broadcast_to(np.arange(r.shape[0])[:, None], r.shape)[want]
-    r, k = np.minimum(r[want], reach[row, 0]), k[row, 0]
+    r, k = np.minimum(r, reach[row, 0]), k[row, 0]
     x = r * r
     inside = r < 1.0 - 1.0 / np.sqrt(np.maximum(k, 1e-300))
     # the terms P(N2 = j) P(N1 > j) (or <= j) peak near j = k r/2, as Bessel's
@@ -257,38 +255,33 @@ def _eta_hankel(r, k):
 
 
 def _eta_exact(r, a_over_W):
-    """eta(r) = P(|X| <= 1), X ~ N(r, I/k), k = 4 (a/W)^2, broadcast over r and a/W.
+    """eta(r) = P(|X| <= 1), X ~ N(r, I/k), k = 4 (a/W)^2, elementwise over r and a/W.
 
     Within 5e-15 of 50-digit mpmath down to eta = 1e-300 (measured), by the
-    Poisson series or Hankel's expansion (see _HANKEL_XI).  One row per a/W:
-    along the last axis when a/W is a scalar or has a last axis of 1, else one
-    entry per row.  Raises QuadratureError naming the first a/W, in array
-    order, whose k overflows (above about 6.7e153).
+    Poisson series or Hankel's expansion (see _HANKEL_XI); the series builds one
+    table per distinct a/W, _SERIES_TABLES at a time.  Raises QuadratureError
+    naming the first a/W, in its array's order, whose k overflows (above about 6.7e153).
     """
     r, a_over_W = np.asarray(r, dtype=float), np.asarray(a_over_W, dtype=float)
-    shape = np.broadcast_shapes(r.shape, a_over_W.shape)
-    n = shape[-1] if shape and a_over_W.shape[-1:] in ((), (1,)) else 1
-    a = np.broadcast_to(a_over_W, shape).reshape(-1, n)[:, :1]
-    r = np.broadcast_to(r, shape).reshape(-1, n)
     with np.errstate(over="ignore"):
-        k = 4.0 * a * a
+        k = 4.0 * a_over_W * a_over_W
         bad = np.flatnonzero(k == np.inf)
         if bad.size:
             raise QuadratureError("exact transmittance needs 4 (a/W)^2 finite, "
-                                  f"not at a_over_W={a.flat[bad[0]]}")
+                                  f"not at a_over_W={a_over_W.flat[bad[0]]}")
+        # every k beyond _K_SERIES is served by Hankel's expansion
+        ks, row = np.unique(np.minimum(k, _K_SERIES), return_inverse=True)
+        r, k, row = np.broadcast_arrays(r, k, row.reshape(k.shape))
         far = ((k * r >= _HANKEL_XI) & (r <= 4.0)) | (k > _K_SERIES)
         eta = np.empty(r.shape)
         if far.any():  # k r may overflow within 1e-6 of the largest k
-            eta[far] = _eta_hankel(r[far], np.broadcast_to(k, r.shape)[far])
-    # the series' tables take a few kB per row, so rows go in blocks
-    near = ~far
-    rows = np.flatnonzero(near.any(axis=1))
-    for i in range(0, rows.size, _SERIES_ROWS):
-        block = rows[i:i + _SERIES_ROWS]
-        part = eta[block]
-        part[near[block]] = _eta_series(r[block], k[block], near[block])
-        eta[block] = part
-    return eta.reshape(shape)
+            eta[far] = _eta_hankel(r[far], k[far])
+    # the series' tables take a few kB each, so they go in blocks
+    for i in range(0, ks.size, _SERIES_TABLES):
+        part = ~far & (row >= i) & (row < i + _SERIES_TABLES)
+        if part.any():  # Hankel's expansion may serve a whole block
+            eta[part] = _eta_series(r[part], ks[i:i + _SERIES_TABLES, None], row[part] - i)
+    return eta
 
 
 def exact_eta_at_offset(r, a_over_W: float):
@@ -308,18 +301,19 @@ def exact_eta_at_offset(r, a_over_W: float):
     ----------
     r : float or array_like
         Beam-center offset(s), each finite and >= 0.
-    a_over_W : float
-        Aperture-to-beam-size ratio, > 0.
+    a_over_W : float or ndarray
+        Aperture-to-beam-size ratio(s), each > 0, broadcast against r.
 
     Returns
     -------
     float or ndarray
-        eta in [0, 1 - exp(-2 (a/W)^2)]; a float for a scalar r.
+        eta in [0, 1 - exp(-2 (a/W)^2)], elementwise over the broadcast of r and
+        a/W; a float when both are scalars.
 
     Raises
     ------
     QuadratureError
-        If a/W is above about 6.7e153, where k = 4 (a/W)^2 overflows.
+        If an a/W is above about 6.7e153, where k = 4 (a/W)^2 overflows.
     """
     r = np.asarray(r, dtype=float)
     _require("offset r", r, r >= 0, ">= 0")
@@ -492,9 +486,9 @@ def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
     returned once every check has passed: n, seed, model and the model's limit
     in a/W.  y comes from a second generator of the seed that has drawn and
     discarded n values, so the blocks join into the draw of x, then of y."""
-    _require("n (sample count)", n, isinstance(n, (int, np.integer))
-             and not isinstance(n, bool) and n >= 1, "an integer >= 1")
-    _require("seed", seed, seed >= 0, ">= 0")
+    for name, x, least in (("n (sample count)", n, 1), ("seed", seed, 0)):
+        _require(name, x, isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                 and x >= least, f"an integer >= {least}")
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     if model == "approx":

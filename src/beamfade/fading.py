@@ -66,7 +66,9 @@ class FadingStats:
     def __post_init__(self):
         eps = 1e-9
         _require("eta_max", self.eta_max, self.eta_max <= 1.0 + eps, "<= 1")
-        _require("sqrt_eta_mean", self.sqrt_eta_mean, self.sqrt_eta_mean >= 0.0, ">= 0")
+        # bounded before it is squared; above 1 + 2 eps it fails the checks below
+        _require("sqrt_eta_mean", self.sqrt_eta_mean,
+                 0.0 <= self.sqrt_eta_mean <= 1.0 + 2 * eps, "in [0, 1]")
         identity = self.eta_mean - self.sqrt_eta_mean * self.sqrt_eta_mean
         _require("eta_mean", self.eta_mean, identity >= -eps
                  and self.eta_mean <= self.eta_max + eps, "in [<sqrt(eta)>^2, eta_max]")

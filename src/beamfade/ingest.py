@@ -223,7 +223,7 @@ def histogram(series: TransmittanceSeries, bins: int, value_range=None) -> Histo
     The default range is [0, max sample]; samples outside an explicit range
     are dropped from the counts.
     """
-    _require("bins", bins, bins >= 2, ">= 2")
+    _require("bins", bins, isinstance(bins, (int, np.integer)) and bins >= 2, "an integer >= 2")
     if value_range is None:
         hi = float(series.samples.max())
         value_range = (0.0, hi if hi > 0.0 else 1.0)

@@ -145,6 +145,30 @@ class TestExactEta:
             assert all(isinstance(x, float) for x in scalars)
             assert np.array_equal(vals.ravel(), scalars)
 
+    @pytest.mark.parametrize("eta", ETA_KERNELS)
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+    def test_empty_offsets(self, eta, shape):
+        out = eta(np.zeros(shape), 1.0)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+    def test_one_table_per_distinct_ratio(self, monkeypatch):
+        # twelve offsets, each with its own a/W out of three, all served by
+        # the series (k r < 40)
+        r = np.random.default_rng(7).uniform(0.0, 2.0, 12)
+        aws = np.tile([0.5, 1.0, 2.0], 4)
+        tables = []
+        series = beamfade.channel._eta_series
+
+        def counting_series(r, k, row):
+            tables.append(k.size)
+            return series(r, k, row)
+
+        monkeypatch.setattr(beamfade.channel, "_eta_series", counting_series)
+        got = exact_eta_at_offset(r, aws)
+        assert tables == [3]
+        assert got.tolist() == [exact_eta_at_offset(float(ri), float(aw))
+                                for ri, aw in zip(r, aws)]
+
     def test_ratio_per_entry_in_bounded_memory(self):
         # an a/W that varies along the last axis gives the series one row
         # per entry, whose coefficient tables go in blocks of rows
@@ -627,7 +651,7 @@ class TestSampler:
         with pytest.raises(ValueError, match="^n "):
             sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=bad)
 
-    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, np.float64(2.0), True])
     def test_rejects_negative_seed(self, seed):
         with pytest.raises(ValueError, match="^seed "):
             sample_transmittance(BeamGeometry(1.0, 0.3), seed=seed, n=3)

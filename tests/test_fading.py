@@ -65,6 +65,19 @@ class TestFadingStats:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FadingStats(**{**fields, field: bad})
 
+    @pytest.mark.parametrize("bad", [1e200, 1.2, np.float64(1e200)])
+    def test_sqrt_mean_above_one_named(self, bad):
+        # bounded before it is squared, so neither <eta> is blamed nor the
+        # square overflows
+        with pytest.raises(ValueError, match="^sqrt_eta_mean "):
+            FadingStats(eta_mean=0.3, sqrt_eta_mean=bad, var_sqrt_eta=0.05, eta_max=1.0)
+
+    def test_sqrt_mean_within_tolerance_accepted(self):
+        # the checks on <eta> and eta_max admit <sqrt(eta)> up to 1 + 1e-9
+        stats = FadingStats(eta_mean=1.0 + 2e-9, sqrt_eta_mean=1.0 + 1e-9,
+                            var_sqrt_eta=0.0, eta_max=1.0 + 1e-9)
+        assert stats.sqrt_eta_mean == 1.0 + 1e-9
+
     def test_tiny_negative_roundoff_clamped(self):
         stats = FadingStats(eta_mean=0.25, sqrt_eta_mean=0.5,
                             var_sqrt_eta=-1e-17, eta_max=0.25)

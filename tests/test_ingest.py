@@ -392,6 +392,11 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(series, bins=4, value_range=(0.6, 0.6))
 
+    @pytest.mark.parametrize("bins", [2.5, np.float64(3)])
+    def test_rejects_non_integer_bins(self, bins):
+        with pytest.raises(ValueError, match="^bins "):
+            histogram(parse_series("0.5\n"), bins)
+
     def test_validates_fields(self):
         with pytest.raises(ValueError):
             Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([1]))
