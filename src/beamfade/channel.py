@@ -284,7 +284,7 @@ def _eta_exact(r, a_over_W):
     return eta
 
 
-def exact_eta_at_offset(r, a_over_W: float):
+def exact_eta_at_offset(r, a_over_W):
     """Intensity transmittance of a displaced Gaussian beam, in closed form.
 
     Power fraction of a beam of spot radius w = W/a, displaced by r
@@ -301,7 +301,7 @@ def exact_eta_at_offset(r, a_over_W: float):
     ----------
     r : float or array_like
         Beam-center offset(s), each finite and >= 0.
-    a_over_W : float or ndarray
+    a_over_W : float or array_like
         Aperture-to-beam-size ratio(s), each > 0, broadcast against r.
 
     Returns
@@ -315,7 +315,7 @@ def exact_eta_at_offset(r, a_over_W: float):
     QuadratureError
         If an a/W is above about 6.7e153, where k = 4 (a/W)^2 overflows.
     """
-    r = np.asarray(r, dtype=float)
+    r, a_over_W = np.asarray(r, dtype=float), np.asarray(a_over_W, dtype=float)
     _require("offset r", r, r >= 0, ">= 0")
     _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
     out = _eta_exact(r, a_over_W)

@@ -20,8 +20,8 @@ from itertools import chain
 import numpy as np
 
 from .channel import BeamGeometry, _sample_blocks
-from .fading import _moments, empirical_moments
-from .ingest import SeriesFormatError, fit_geometry, parse_series
+from .fading import _empirical, _moments
+from .ingest import SeriesFormatError, _cdf_counts, _fit, _series_pieces
 from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 # a/W values per moment-rule call, so a sweep of any length holds one block's nodes
@@ -149,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_series(args):
-    with open(args.input, "rb") as fh:
-        return parse_series(fh, reference=args.reference, label=args.input)
-
-
 def _sweep(args, columns):
     """Yield the rows (a/W, sigma_b2, *columns) of a sweep over the a/W grid.
 
@@ -173,11 +168,12 @@ def _sweep(args, columns):
 
 
 def cmd_stats(args):
-    series = _read_series(args)
-    stats = empirical_moments(series.samples)
+    # each piece is reduced as it is read, so one piece is held at a time
+    with open(args.input, "rb") as fh:
+        n, stats = _empirical(_series_pieces(fh, args.reference))
     header = ("eta_mean", "sqrt_eta_mean", "var_sqrt_eta", "eta_max", "n")
     return _csv(header, [(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
-                          stats.eta_max, series.count)])
+                          stats.eta_max, n)])
 
 
 def cmd_curve(args):
@@ -209,16 +205,17 @@ def cmd_kr_curve(args):
 
 
 def cmd_fit(args):
-    series = _read_series(args)
+    with open(args.input, "rb") as fh:
+        facts = _cdf_counts(_series_pieces(fh, args.reference))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        result = fit_geometry(series)
+        result = _fit(*facts)
     sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
     if result.boundary:
         print("warning: fit stopped on the search-domain boundary", file=sys.stderr)
     header = ("sigma_b2", "a_over_W", "gof", "n")
     return _csv(header, [(result.geometry.sigma_b2, result.geometry.a_over_W,
-                          result.gof, series.count)])
+                          result.gof, facts[0])])
 
 
 def cmd_sample(args):

@@ -191,18 +191,49 @@ def empirical_moments(samples) -> FadingStats:
     FadingStats
         eta_max is set to the largest sample.
     """
-    eta = np.asarray(samples, dtype=float)
+    eta = np.asarray(samples, dtype=float).ravel()
     if eta.size == 0:
         raise ValueError("empty sample sequence")
     bad = np.flatnonzero(~((eta >= 0.0) & (eta <= 1.0)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"sample {i} out of range [0, 1]: {eta[i]}")
-    eta_mean = float(eta.mean())
-    sqrt_eta_mean = float(np.sqrt(eta).mean())
-    return FadingStats(eta_mean=eta_mean, sqrt_eta_mean=sqrt_eta_mean,
-                       var_sqrt_eta=eta_mean - sqrt_eta_mean * sqrt_eta_mean,
-                       eta_max=float(eta.max()))
+    return _empirical([eta])[1]
+
+
+def _exact_sum(x):
+    """The exact sum of the floats x in [0, 1], as an integer count of 2**-1130.
+
+    Each x >= 2**-11 is a whole count of 2**-63, at most 2**63, and the two
+    32-bit halves of the counts sum exactly in uint64 for fewer than 2**32 x.
+    The smaller x > 0 are scaled by 2**11 and counted the same way, and so on:
+    97 steps reach the least subnormal, 2**-1074 = 2**-1130 2**56.
+    """
+    total, shift = 0, 1067
+    while x.size:
+        count = (x * 2.0**63).astype(np.uint64)  # whole where x >= 2**-11
+        small = x < 2.0**-11
+        count[small] = 0
+        total += ((int((count >> 32).sum()) << 32) + int((count & 0xFFFFFFFF).sum())) << shift
+        x, shift = x[small & (x > 0)] * 2.0**11, shift - 11
+    return total
+
+
+def _empirical(pieces):
+    """(n, FadingStats) of the samples in `pieces`, arrays in [0, 1] with at least one sample.
+
+    The means are the exact sums divided by n and rounded once, so they do not
+    depend on how the samples are cut into pieces.
+    """
+    n, top, sum_eta, sum_t = 0, 0.0, 0, 0
+    for eta in pieces:
+        n, top = n + eta.size, max(top, float(eta.max(initial=0.0)))
+        sum_eta += _exact_sum(eta)
+        sum_t += _exact_sum(np.sqrt(eta))
+    eta_mean, sqrt_eta_mean = sum_eta / (n << 1130), sum_t / (n << 1130)
+    return n, FadingStats(eta_mean=eta_mean, sqrt_eta_mean=sqrt_eta_mean,
+                          var_sqrt_eta=eta_mean - sqrt_eta_mean * sqrt_eta_mean,
+                          eta_max=top)
 
 
 def fading_excess_noise(stats: FadingStats, v: float) -> float:

@@ -12,8 +12,9 @@ calibration.  Errors name the first offending line, in file order.
 
 Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
 decodes, converts and checks one piece at a time, holding only its text and
-Python lines; the result still peaks at 16 bytes per sample (the float64
-samples of the pieces and their concatenation).
+Python lines.  `parse_series` joins the samples of the pieces, so it peaks at
+16 bytes per sample; the CLI's `stats` and `fit` reduce each piece as it is
+read, by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _FIT_CANDIDATES = 4
 
 SMALL_SERIES_WARN = 1000
 
-# parse_series reads and converts the text in pieces of about this many
+# a series is read and converted in pieces of about this many
 # characters (bytes, from bytes), so only one piece is held as text at a time
 _PIECE_CHARS = 1 << 16
 
@@ -132,10 +133,8 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
     """
     if reference is not None and not (np.isfinite(reference) and reference > 0):
         raise SeriesFormatError(f"reference must be positive, got {reference}")
-    values = np.concatenate([np.empty(0), *_series_pieces(stream, reference)])
-    if not values.size:
-        raise SeriesFormatError("no samples found")
-    return TransmittanceSeries(values, source_label=label)
+    return TransmittanceSeries(np.concatenate(list(_series_pieces(stream, reference))),
+                               source_label=label)
 
 
 def _pieces(stream):
@@ -161,10 +160,12 @@ def _pieces(stream):
 
 def _series_pieces(stream, reference):
     """The samples of each piece of `stream`, without a leading mark, divided by
-    `reference`, band-checked and clipped to [0, 1].  A rejected line is raised
-    only after the whole stream is decoded, as invalid UTF-8 further on comes
-    first, so a consumer must run it to the end before writing any output."""
-    fault, before, offset = None, 0, 0  # offset: the bytes before the piece, after a mark
+    `reference`, band-checked and clipped to [0, 1].  A rejected line, or a
+    stream with no samples, is raised only after the whole stream is decoded,
+    as invalid UTF-8 further on comes first, so a consumer must run it to the
+    end before writing any output."""
+    # offset: the bytes before the piece, after a mark; count: the samples so far
+    fault, before, offset, count = None, 0, 0, 0
     for i, piece in enumerate(_pieces(stream)):
         if not i:
             piece = piece.removeprefix(b"\xef\xbb\xbf" if isinstance(piece, bytes) else "\ufeff")
@@ -191,12 +192,13 @@ def _series_pieces(stream, reference):
                 values /= reference or 1.0
             # nan fails both comparisons, so this also rejects non-finite values
             if np.all((values >= -EDGE_TOLERANCE) & (values <= 1.0 + EDGE_TOLERANCE)):
+                count += values.size
                 yield np.clip(values, 0.0, 1.0, out=values)
             else:
                 fault = _first_fault(lines, before, reference)
         before += len(lines)
-    if fault is not None:
-        raise fault
+    if fault is not None or not count:
+        raise fault or SeriesFormatError("no samples found")
 
 
 def _first_fault(lines, before, reference) -> SeriesFormatError:
@@ -261,24 +263,40 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     A constant series is degenerate: it pins sigma_b2 = 0 and inverts the
     maximum-transmittance formula for a_over_W.
     """
-    if series.count < SMALL_SERIES_WARN:
-        warnings.warn(
-            f"fitting {series.count} samples; at least {SMALL_SERIES_WARN} "
-            "recommended for a stable fit", UserWarning, stacklevel=2)
+    return _fit(*_cdf_counts([series.samples]))
 
-    eta = series.samples
-    if float(eta.max()) - float(eta.min()) == 0.0:
-        eta0 = float(eta[0])
-        if not 0.0 < eta0 < 1.0:
+
+def _cdf_counts(pieces):
+    """(n, counts, min, max, first sample) of the samples in `pieces`, arrays in
+    [0, 1] with at least one sample, where counts[k - 1] counts the
+    T = sqrt(eta) <= k/512, k = 1..512."""
+    n, hist, lo, hi, first = 0, 0, 1.0, 0.0, None
+    for eta in pieces:
+        if eta.size:
+            if not n:
+                first = float(eta[0])
+            n, lo, hi = n + eta.size, min(lo, float(eta.min())), max(hi, float(eta.max()))
+            # T <= k/512 exactly when ceil(512 T) <= k, as 512 T is exact
+            hist = hist + np.bincount(np.ceil(np.sqrt(eta) * 512).astype(int), minlength=513)
+    return n, np.cumsum(hist)[1:], lo, hi, first
+
+
+def _fit(n, counts, lo, hi, first) -> FitResult:
+    """`fit_geometry` on the facts `_cdf_counts` gathers of a series."""
+    if n < SMALL_SERIES_WARN:
+        warnings.warn(
+            f"fitting {n} samples; at least {SMALL_SERIES_WARN} "
+            "recommended for a stable fit", UserWarning, stacklevel=3)
+
+    if hi - lo == 0.0:
+        if not 0.0 < first < 1.0:
             raise ValueError(
-                f"constant series at eta = {eta0} has no finite geometry")
-        a_over_W = math.sqrt(-math.log1p(-eta0) / 2.0)
+                f"constant series at eta = {first} has no finite geometry")
+        a_over_W = math.sqrt(-math.log1p(-first) / 2.0)
         return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=0.0), 0.0)
 
-    t_sorted = np.sqrt(eta)
-    t_sorted.sort()
-    t_grid = np.linspace(0.0, 1.0, 513)[1:]
-    empirical = np.searchsorted(t_sorted, t_grid, side="right") / t_sorted.size
+    t_grid = np.arange(1, 513) / 512  # the k/512 of `_cdf_counts`
+    empirical = counts / n
 
     def objective(a_over_W, sigma_b2):
         # the model CDF of pdt_cdf, one grid row per geometry

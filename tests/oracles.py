@@ -30,6 +30,7 @@ use it are set by chndtr, not by the library.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -359,3 +360,11 @@ def sample_whole(geometry, seed, n, model="approx"):
     if model == "approx":
         return eta_approx(r, weibull_params(geometry.a_over_W))
     return exact_eta_at_offset(r, geometry.a_over_W)
+
+
+def mean_fraction(values):
+    """The mean of `values`, correctly rounded: each float is a rational number,
+    so their sum over the count is exact as a `Fraction`, and `float` of a
+    Fraction rounds its numerator over its denominator once."""
+    values = list(values)
+    return float(sum(map(Fraction, values), Fraction(0)) / len(values))

@@ -214,6 +214,14 @@ class TestExactEta:
         vals = [exact_eta_at_offset(r, aw) for aw in np.linspace(0.3, 3.0, 28)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_ratios_as_a_list(self):
+        # any array_like of ratios, as max_transmission_coefficient takes
+        got = exact_eta_at_offset(0.5, [1.0, 2.0])
+        assert got.tolist() == [exact_eta_at_offset(0.5, 1.0), exact_eta_at_offset(0.5, 2.0)]
+        assert exact_eta_at_offset([[0.5], [1.0]], [1.0, 2.0]).shape == (2, 2)
+        with pytest.raises(ValueError, match=r"^a_over_W .* got -1\.0$"):
+            exact_eta_at_offset(0.5, [1.0, -1.0])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             exact_eta_at_offset(-0.1, 1.0)

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamfade
+from beamfade import ingest
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import _SWEEP_BLOCK, _fmt, _sweep, build_parser, cmd_sample, main
-from beamfade.fading import _moments, analytic_moments
+from beamfade.fading import _moments, analytic_moments, empirical_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
 
-from oracles import sample_whole
+from oracles import parse_series_loop, sample_whole
 
 
 def run(capsys, *argv):
@@ -63,6 +64,88 @@ class TestStats:
         assert code == 0
         assert out == ""
         assert dst.read_text().startswith("eta_mean,")
+
+
+def series_outcome(path, *argv):
+    """(exit status, --out bytes or None, stderr) of a command on the file at `path`."""
+    out = path.with_suffix(".csv")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, str(path), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+SERIES_FILES = {
+    # the first pieces hold only comments, and so yield empty arrays
+    "comment-pieces": b"# a log\n\n# of samples\n0.5\n0.25\n# one more\n\n0.75\n0.125\n",
+    "bom": b"\xef\xbb\xbf0.25\r\n0.5\r\n0.75\r\n0.5\n",
+    "constant": b"# flat\n" + b"0.25\n" * 6,
+    "signed-zero": b"-0\n0.0\n-0.0\n",
+    "empty": b"",
+    "late-band": b"0.5\n" * 20 + b"1.5\n" + b"0.25\n" * 20,
+    # the band fault comes first, the invalid UTF-8 after it is reported
+    "late-band-then-utf8": b"0.5\n" * 20 + b"1.5\n" + b"0.25\n" * 20 + b"0.\xff5\n",
+}
+
+
+class TestSeriesPieces:
+    """stats and fit fold over the parsed pieces; pieces of a few bytes change nothing."""
+
+    @pytest.mark.parametrize("name", SERIES_FILES)
+    def test_outcome_independent_of_piece_size(self, tmp_path, name):
+        path = tmp_path / "series.txt"
+        path.write_bytes(SERIES_FILES[name])
+        for argv in (["stats"], ["fit"], ["stats", "--reference", "2"]):
+            whole = series_outcome(path, *argv)
+            for piece_chars in range(1, 13):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ingest, "_PIECE_CHARS", piece_chars)
+                    assert series_outcome(path, *argv) == whole, (argv, piece_chars)
+            if name in ("empty", "late-band-then-utf8") or name == "late-band" and len(argv) == 1:
+                assert whole[:2] == (2, None)
+        if name in ("comment-pieces", "bom", "signed-zero"):
+            # the one-piece statistics of the whole series
+            text = SERIES_FILES[name].decode("utf-8-sig")
+            values = parse_series_loop(text)
+            stats = empirical_moments(values)
+            row = (stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta, stats.eta_max,
+                   len(values))
+            assert series_outcome(path, "stats")[1].decode().splitlines()[1] \
+                == ",".join(map(_fmt, row))
+
+    def test_messages(self, tmp_path):
+        path = tmp_path / "series.txt"
+        messages = {}
+        for name in ("empty", "late-band", "late-band-then-utf8", "constant"):
+            path.write_bytes(SERIES_FILES[name])
+            messages[name] = series_outcome(path, "fit")[2]
+        assert messages == {
+            "empty": "error: no samples found\n",
+            "late-band": "error: line 21: value 1.5 outside [-0.01, 1.01]\n",
+            "late-band-then-utf8": "error: line 42: input is not valid UTF-8: 'utf-8' codec "
+                                   "can't decode byte 0xff in position 186: invalid start byte\n",
+            "constant": "warning: fitting 6 samples; at least 1000 recommended for a stable "
+                        "fit\n",
+        }
+
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_stats_and_fit_in_bounded_memory(self, tmp_path, n):
+        # each piece is reduced as it is parsed, so the traced peak is that of
+        # one piece, plus the search for fit: 1.0 and 2.3 MB at either n, where
+        # the whole series took 6.2 and 8.4 MB at 4e5
+        path = tmp_path / "series.txt"
+        eta = np.random.default_rng(n).random(n)
+        path.write_text("%.17g\n" * n % tuple(eta.tolist()))
+        for argv, limit in ((["stats"], 2 * 2**20), (["fit"], 4 * 2**20)):
+            tracemalloc.start()
+            try:
+                code = series_outcome(path, *argv)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak <= limit, argv
 
 
 class TestExitCodes:

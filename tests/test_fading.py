@@ -20,6 +20,7 @@ from beamfade.channel import (
 )
 from beamfade.fading import (
     FadingStats,
+    _empirical,
     _moments,
     analytic_moments,
     effective_channel,
@@ -27,7 +28,7 @@ from beamfade.fading import (
     fading_excess_noise,
 )
 
-from oracles import eta_rice_quadrature, exact_eta_mean, fading_moments
+from oracles import eta_rice_quadrature, exact_eta_mean, fading_moments, mean_fraction
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 # error bound of `oracles.fading_moments`: its trapezoid rule is off by the
@@ -385,6 +386,43 @@ class TestEmpiricalMoments:
             empirical_moments([0.1, 0.2, 0.3, 1.5])
         with pytest.raises(ValueError, match="sample 0"):
             empirical_moments([-0.2, 0.5])
+
+    @pytest.mark.parametrize("values", [
+        [0.0], [0.0, 0.0, -0.0], [1.0] * 9, [0.0, 1.0, 1.0],
+        [5e-324, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308],
+        [1e-300, 0.75, 1e-300, 0.1, 0.3, 5e-324, 1.0, 1e-300],
+        [1.0 - 2.0**-53, 1.0, 1.0 - 2.0**-52, 0.1] * 250,
+        # the pairwise sum of np.mean is an ulp off the correctly rounded mean
+        # of both moments here
+        (np.random.default_rng(11).random(20_000) ** 8).tolist(),
+    ], ids=["zero", "zeros", "ones", "zero-one", "subnormals", "tiny-and-unit",
+            "near-one", "skewed"])
+    def test_means_correctly_rounded(self, values):
+        stats = empirical_moments(values)
+        assert stats.eta_mean == mean_fraction(values)
+        assert stats.sqrt_eta_mean == mean_fraction(np.sqrt(values).tolist())
+        assert stats.eta_max == max(values) and math.copysign(1.0, stats.eta_max) == 1.0
+
+    def test_means_exact_in_every_binade(self):
+        # the mean of 2**-k (1 + j 2**-52), j = 1, 3, 5, is 2**-k (1 + 3 2**-52)
+        # only if the lowest bits are summed exactly, in each binade k
+        for k in range(1, 1075):
+            values = np.ldexp(1.0 + np.array([1.0, 3.0, 5.0]) * 2.0**-52, -k).tolist()
+            assert empirical_moments(values).eta_mean == mean_fraction(values), k
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 2.2250738585072014e-308]),
+               st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=60),
+           cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=8))
+    def test_pieces_change_nothing(self, values, cuts):
+        # the reducer that stats folds over the parsed pieces, empty ones
+        # included, gives the one-piece result, exactly
+        eta = np.array(values)
+        n, stats = _empirical(np.split(eta, sorted(cuts)))
+        assert (n, stats) == (eta.size, empirical_moments(values))
+        assert stats.eta_mean == mean_fraction(values)
+        assert stats.sqrt_eta_mean == mean_fraction(np.sqrt(eta).tolist())
 
     def test_closed_loop_with_analytic(self):
         eta = sample_transmittance(REF_GEOMETRY, seed=8, n=1_000_000)

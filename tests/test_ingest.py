@@ -535,6 +535,29 @@ class TestFitGeometry:
         model = pdt_cdf(grid, weibull_params(got.a_over_W), got.sigma_b2)
         assert result.gof == pytest.approx(np.mean((ecdf - model) ** 2), rel=1e-13)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 3000), max_size=6))
+    def test_counts_fold_over_pieces(self, seed, cuts):
+        # the T on the grid k/512, their neighbouring floats, 0 and subnormals
+        # sit on the edges of the counts; any cut into pieces, empty ones
+        # included, counts as the sorted search over the whole series does
+        grid = np.linspace(0.0, 1.0, 513)[1:]
+        t = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid[:-1], 1.0),
+                            [0.0, 5e-324, 1e-300]])
+        eta = np.random.default_rng(seed).permutation(np.concatenate([
+            t * t, sample_transmittance(REF_GEOMETRY, seed=seed, n=1000)]))
+        n, counts, lo, hi, first = ingest._cdf_counts(np.split(eta, sorted(cuts)))
+        root = np.sqrt(eta)
+        assert np.array_equal(counts, np.searchsorted(np.sort(root), grid, side="right"))
+        assert (n, lo, hi, first) == (eta.size, eta.min(), eta.max(), eta[0])
+
+    def test_constant_after_empty_piece(self):
+        # an empty first piece, as a comment-only piece of a file yields
+        facts = ingest._cdf_counts([np.empty(0), np.full(3, 0.25), np.empty(0), np.full(2, 0.25)])
+        assert facts[0] == 5 and facts[2:] == (0.25, 0.25, 0.25)
+        with pytest.warns(UserWarning, match="fitting 5 samples"):
+            assert ingest._fit(*facts) == fit_geometry(TransmittanceSeries(np.full(5, 0.25)))
+
     # err * sqrt(n), err = hypot(sigma_b2 / 0.3 - 1, a_over_W - 1), was
     # measured over 200 seeds at each n in {1e3, 3e3, 1e4, 3e4, 1e5}: its
     # median was 0.70-0.88 and its maximum 3.0-3.3 at every n, so the error
