@@ -12,7 +12,10 @@ calibration.  Errors name the first offending line, in file order.
 
 Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
 decodes, converts and checks one piece at a time, holding only its text and
-Python lines.  `parse_series` joins the samples of the pieces, so it peaks at
+Python lines.  A bytes piece of digits, '.', 'e', 'E', '+', '-', CR and LF
+alone is split and converted as bytes, with no strip and no filter but that of
+blank lines.  Any other piece, and one with a fault, is read as decoded text.
+`parse_series` joins the samples of the pieces, so it peaks at
 16 bytes per sample; the CLI's `stats` and `fit` reduce each piece as it is
 read, by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
 """
@@ -20,6 +23,7 @@ read, by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +47,9 @@ SMALL_SERIES_WARN = 1000
 # a series is read and converted in pieces of about this many
 # characters (bytes, from bytes), so only one piece is held as text at a time
 _PIECE_CHARS = 1 << 16
+
+# the bytes of a plain piece: no '#', whitespace, non-ASCII or line end but CR, LF
+_PLAIN_BYTES = b"0123456789.eE+-\r\n"
 
 
 class SeriesFormatError(ValueError):
@@ -131,8 +138,14 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
         On an unparsable line, a value outside the [0, 1] tolerance band,
         or an empty stream; the message names the offending line.
     """
-    if reference is not None and not (np.isfinite(reference) and reference > 0):
-        raise SeriesFormatError(f"reference must be positive, got {reference}")
+    if reference is not None:
+        try:  # numpy's errors for a str, complex or array reference name no field
+            value = float(reference) if isinstance(reference, numbers.Real) else math.nan
+        except OverflowError:  # an int or a fraction beyond float's range
+            value = math.inf
+        if not 0 < value < math.inf:
+            raise SeriesFormatError(f"reference must be positive, got {reference}")
+        reference = value
     return TransmittanceSeries(np.concatenate(list(_series_pieces(stream, reference))),
                                source_label=label)
 
@@ -180,12 +193,16 @@ def _series_pieces(stream, reference):
             raise SeriesFormatError("input is not valid UTF-8: 'utf-8' codec can't "
                                     f"decode {where}: {exc.reason}", line) from None
         offset += len(piece)
-        lines = text.splitlines()
+        # a plain piece splits as its text does, into lines blank or of one token
+        plain = isinstance(piece, bytes) and not piece.translate(None, _PLAIN_BYTES)
+        lines = (piece if plain else text).splitlines()
         if fault is None:
             # float() strips less than str.strip() (not U+001F), so parse stripped text
-            data = [line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
+            data = [*filter(None, lines)] if plain else [
+                line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
             try:
-                values = np.fromiter(map(float, data), float, len(data))
+                values = (np.array(data, dtype=float) if plain else
+                          np.fromiter(map(float, data), float, len(data)))
             except ValueError:
                 values = np.full(1, np.nan)  # fails the band check below
             with np.errstate(over="ignore"):  # an overflow to inf fails the band check
@@ -195,7 +212,7 @@ def _series_pieces(stream, reference):
                 count += values.size
                 yield np.clip(values, 0.0, 1.0, out=values)
             else:
-                fault = _first_fault(lines, before, reference)
+                fault = _first_fault(text.splitlines(), before, reference)
         before += len(lines)
     if fault is not None or not count:
         raise fault or SeriesFormatError("no samples found")

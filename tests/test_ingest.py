@@ -4,6 +4,8 @@ import io
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +89,20 @@ class TestParseSeries:
     def test_rejects_bad_reference(self):
         with pytest.raises(SeriesFormatError):
             parse_series("0.5\n", reference=0.0)
+
+    @pytest.mark.parametrize("reference", [
+        "2", b"2", np.array([2.0, 3.0]), np.array([2.0]), 2 + 0j, -1.0, math.nan, math.inf,
+        10**400, Decimal("2")])
+    def test_rejects_non_real_reference(self, reference):
+        # numpy's own error for these would not name the field
+        with pytest.raises(SeriesFormatError, match="^reference must be positive, got "):
+            parse_series("0.5\n", reference=reference)
+
+    @pytest.mark.parametrize("reference", [
+        2.5, 5, np.float32(2.5), np.int64(5), Fraction(5, 2), 10**300])
+    def test_real_references_divide_as_floats(self, reference):
+        got = parse_series(b"0.5\n1\n", reference=reference).samples
+        assert got.tobytes() == (np.array([0.5, 1.0]) / float(reference)).tobytes()
 
     def test_rejects_bad_encoding(self):
         with pytest.raises(SeriesFormatError, match="UTF-8"):
@@ -338,6 +354,89 @@ class TestParseSeriesPieces:
             tracemalloc.stop()
         assert count == n
         assert peak <= 2**21
+
+
+# lines of plain numeric bytes, which skip the strip and the blank and '#'
+# filter: in-band samples and blank lines, then plain tokens that fail
+PLAIN_LINES = st.one_of(
+    st.floats(min_value=-0.01, max_value=1.01).map(lambda x: b"%.17g" % x),
+    st.floats(min_value=-0.01, max_value=1.01).map(lambda x: b"%.9f" % x),
+    st.sampled_from([b"", b"-0", b"1e-320", b"0", b"1"]),
+)
+BAD_PLAIN_LINES = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0).map(lambda x: b"%.17g" % x),
+    st.sampled_from([b"1e400", b"-0.02", b"1.02", b"1e", b"+-1", b".", b"-", b"E5", b"1.2.3"]),
+)
+# lines that send their piece to the decoded text
+NOT_PLAIN_LINES = st.sampled_from([b"#", b"# 0.5", b" ", b"\t", b" 0.5", b"0.5 ", b"\x0c",
+                                   b"\x0b", b"1_0", b"nan", "\u0661".encode(), b"0.5 0.6"])
+
+
+@st.composite
+def plain_files(draw):
+    parts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        kind = draw(st.integers(min_value=0, max_value=15))
+        lines = (NOT_PLAIN_LINES, BAD_PLAIN_LINES)[kind] if kind < 2 else PLAIN_LINES
+        parts += [draw(lines), draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))]
+    if parts and draw(st.booleans()):
+        parts.pop()  # no line end after the last line
+    return b"".join(parts)
+
+
+def parse_outcome(stream, reference):
+    try:
+        return parse_series(stream, reference=reference).samples.tobytes()
+    except SeriesFormatError as exc:
+        return str(exc), exc.line_number
+
+
+def loop_outcome(raw, reference):
+    """`parse_outcome` of `raw` by the per-line oracle, on the decode of the whole file."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        return f"line {line}: input is not valid UTF-8: {exc}", line
+    try:
+        return np.array(parse_series_loop(text, reference)).tobytes()
+    except ValueError as exc:
+        number, colon, _ = str(exc).removeprefix("line ").partition(":")
+        return str(exc), int(number) if colon else None
+
+
+class TestParseSeriesPlainBytes:
+    """Pieces of bytes that hold only digits, '.', 'e', 'E', '+', '-', CR and LF
+    are split and converted as bytes; the outcome is that of the decoded text."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(raw=plain_files(),
+           piece_chars=st.one_of(st.integers(min_value=1, max_value=12),
+                                 st.just(ingest._PIECE_CHARS)),
+           reference=st.sampled_from([None, 2.5, 1e-300]))
+    # a blank line inside a plain piece is skipped, not a fault
+    @example(raw=b"0.5\n\n0.25\r\n\r\n0.75\n", piece_chars=ingest._PIECE_CHARS,
+             reference=None)
+    # a '#' or a whitespace line makes the piece not plain; its samples stay
+    @example(raw=b"0.5\n#\n0.25\n", piece_chars=ingest._PIECE_CHARS, reference=None)
+    @example(raw=b"0.5\r\n \r\n0.25\r\n", piece_chars=ingest._PIECE_CHARS, reference=None)
+    # a bad token in a plain piece after several plain pieces
+    @example(raw=b"0.5\n0.25\r\n\n0.75\r0.5\n1e\n0.25\n", piece_chars=4, reference=None)
+    # a band fault in a plain piece, then invalid UTF-8 later: the UTF-8 error wins
+    @example(raw=b"0.5\n1.5\n0.25\n0.75\n0.\xff5\n", piece_chars=4, reference=None)
+    # CR line ends only: no line feed, so one piece
+    @example(raw=b"0.5\r0.25\r\r1e-320\r-0", piece_chars=3, reference=None)
+    # under a tiny reference 1e-320 stays in band, and 1e400 is inf, not finite
+    @example(raw=b"1e-320\n1e400\n", piece_chars=ingest._PIECE_CHARS, reference=1e-300)
+    def test_agrees_with_per_line_loop(self, raw, piece_chars, reference):
+        want = loop_outcome(raw, reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_PIECE_CHARS", piece_chars)
+            assert parse_outcome(raw, reference) == want
+            assert parse_outcome(io.BytesIO(raw), reference) == want
+            if raw.isascii():
+                # text is never plain, so every piece of it takes the decoded route
+                assert parse_outcome(raw.decode(), reference) == want
 
 
 class TestTransmittanceSeries:
