@@ -81,6 +81,7 @@ class CovMat2:
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+        _require("covariance matrix", m, True, "real")
         if not np.allclose(m, m.T, atol=1e-10):
             raise ValueError("covariance matrix must be symmetric")
         return cls(a=m[:2, :2], b=m[2:, 2:], c=m[:2, 2:])

@@ -8,16 +8,17 @@ A sample is any text Python's `float` accepts (underscores and non-ASCII digits
 included) except nan and infinity, so a second column or a trailing comment is
 an error.  An optional reference value divides the raw readings, so detector
 voltages can be brought to the [0, 1] transmittance scale without external
-calibration.  Errors name the first offending line, in file order.
+calibration.  An error names the offending line: invalid UTF-8 anywhere in the
+file comes first, then the first line whose sample is rejected.
 
 Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
-decodes, converts and checks one piece at a time, holding only its text and
-Python lines.  A bytes piece of digits, '.', 'e', 'E', '+', '-', CR and LF
-alone is split and converted as bytes, with no strip and no filter but that of
-blank lines.  Any other piece, and one with a fault, is read as decoded text.
-`parse_series` joins the samples of the pieces, so it peaks at
-16 bytes per sample; the CLI's `stats` and `fit` reduce each piece as it is
-read, by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
+decodes, converts and checks one piece at a time.  A bytes piece of digits,
+'.', 'e', 'E', '+', '-', CR and LF alone is split as bytes, with no filter but
+that of blank lines; any other piece is split, stripped and filtered as text.
+Either is converted by `np.array(tokens, dtype=float)`, which calls `float` on
+each token.  `parse_series` joins the samples of the pieces, so it peaks at 16
+bytes per sample; the CLI's `stats` and `fit` reduce each piece as it is read,
+by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class TransmittanceSeries:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("series must hold at least one sample")
+            raise ValueError(f"samples must be a non-empty 1-D array, got shape {samples.shape}")
         _require("samples", samples, (samples >= 0.0) & (samples <= 1.0), "in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
@@ -101,8 +102,7 @@ class Histogram:
         counts = np.asarray(self.counts)
         if edges.ndim != 1 or edges.size < 3:
             raise ValueError("need at least two bins")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly ascending")
+        _require("bin_edges", edges, np.append(True, edges[1:] > edges[:-1]), "strictly ascending")
         if counts.size != edges.size - 1:
             raise ValueError("counts length must be number of bins")
         # checked before the cast to int, which would truncate 1.7 and -0.5
@@ -201,8 +201,7 @@ def _series_pieces(stream, reference):
             data = [*filter(None, lines)] if plain else [
                 line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
             try:
-                values = (np.array(data, dtype=float) if plain else
-                          np.fromiter(map(float, data), float, len(data)))
+                values = np.array(data, dtype=float)
             except ValueError:
                 values = np.full(1, np.nan)  # fails the band check below
             with np.errstate(over="ignore"):  # an overflow to inf fails the band check
@@ -247,8 +246,7 @@ def histogram(series: TransmittanceSeries, bins: int, value_range=None) -> Histo
         hi = float(series.samples.max())
         value_range = (0.0, hi if hi > 0.0 else 1.0)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if hi <= lo:
-        raise ValueError(f"empty histogram range [{lo}, {hi}]")
+    _require("value_range", np.array([lo, hi]), [True, hi > lo], "ascending")
     counts, edges = np.histogram(series.samples, bins=bins, range=(lo, hi))
     return Histogram(bin_edges=edges, counts=counts)
 
@@ -284,32 +282,29 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
 
 
 def _cdf_counts(pieces):
-    """(n, counts, min, max, first sample) of the samples in `pieces`, arrays in
-    [0, 1] with at least one sample, where counts[k - 1] counts the
-    T = sqrt(eta) <= k/512, k = 1..512."""
-    n, hist, lo, hi, first = 0, 0, 1.0, 0.0, None
+    """(n, counts, min, max) of the samples in `pieces`, arrays in [0, 1] with at
+    least one sample in all; counts[k - 1] counts the T = sqrt(eta) <= k/512, k = 1..512."""
+    n, hist, lo, hi = 0, 0, 1.0, 0.0
     for eta in pieces:
-        if eta.size:
-            if not n:
-                first = float(eta[0])
-            n, lo, hi = n + eta.size, min(lo, float(eta.min())), max(hi, float(eta.max()))
-            # T <= k/512 exactly when ceil(512 T) <= k, as 512 T is exact
-            hist = hist + np.bincount(np.ceil(np.sqrt(eta) * 512).astype(int), minlength=513)
-    return n, np.cumsum(hist)[1:], lo, hi, first
+        n += eta.size
+        lo, hi = min(lo, float(eta.min(initial=1.0))), max(hi, float(eta.max(initial=0.0)))
+        # T <= k/512 exactly when ceil(512 T) <= k, as 512 T is exact
+        hist = hist + np.bincount(np.ceil(np.sqrt(eta) * 512).astype(int), minlength=513)
+    return n, np.cumsum(hist)[1:], lo, hi
 
 
-def _fit(n, counts, lo, hi, first) -> FitResult:
+def _fit(n, counts, lo, hi) -> FitResult:
     """`fit_geometry` on the facts `_cdf_counts` gathers of a series."""
     if n < SMALL_SERIES_WARN:
         warnings.warn(
             f"fitting {n} samples; at least {SMALL_SERIES_WARN} "
             "recommended for a stable fit", UserWarning, stacklevel=3)
 
-    if hi - lo == 0.0:
-        if not 0.0 < first < 1.0:
+    if hi - lo == 0.0:  # every sample equals hi
+        if not 0.0 < hi < 1.0:
             raise ValueError(
-                f"constant series at eta = {first} has no finite geometry")
-        a_over_W = math.sqrt(-math.log1p(-first) / 2.0)
+                f"constant series at eta = {hi} has no finite geometry")
+        a_over_W = math.sqrt(-math.log1p(-hi) / 2.0)
         return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=0.0), 0.0)
 
     t_grid = np.arange(1, 513) / 512  # the k/512 of `_cdf_counts`

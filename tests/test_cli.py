@@ -117,7 +117,7 @@ class TestSeriesPieces:
     def test_messages(self, tmp_path):
         path = tmp_path / "series.txt"
         messages = {}
-        for name in ("empty", "late-band", "late-band-then-utf8", "constant"):
+        for name in ("empty", "late-band", "late-band-then-utf8", "constant", "signed-zero"):
             path.write_bytes(SERIES_FILES[name])
             messages[name] = series_outcome(path, "fit")[2]
         assert messages == {
@@ -127,6 +127,8 @@ class TestSeriesPieces:
                                    "can't decode byte 0xff in position 186: invalid start byte\n",
             "constant": "warning: fitting 6 samples; at least 1000 recommended for a stable "
                         "fit\n",
+            # the maximum starts at +0.0, so the sign of the first sample does not show
+            "signed-zero": "error: constant series at eta = 0.0 has no finite geometry\n",
         }
 
     @pytest.mark.parametrize("n", [100_000, 400_000])

@@ -57,6 +57,19 @@ class TestCovMat2:
         with pytest.raises(ValueError):
             CovMat2.from_matrix(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_matrix_names_non_finite_entry(self, bad):
+        m = np.eye(4)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^covariance matrix must be finite .*got {bad}$"):
+            CovMat2.from_matrix(m)
+
+    def test_from_matrix_rejects_asymmetric_matrix(self):
+        m = np.eye(4)
+        m[0, 3] = 0.5
+        with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+            CovMat2.from_matrix(m)
+
     def test_rejects_asymmetric_blocks(self):
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):

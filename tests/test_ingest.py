@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -457,6 +458,12 @@ class TestTransmittanceSeries:
         with pytest.raises(ValueError):
             TransmittanceSeries(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (0,), (), (1, 3)])
+    def test_shape_message_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"^samples must be a non-empty 1-D array, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            TransmittanceSeries(np.zeros(shape))
+
 
 class TestHistogram:
 
@@ -505,6 +512,34 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(bin_edges=np.array([0.0, 0.5, 1.0]),
                       counts=np.array([1, -2]))
+        with pytest.raises(ValueError, match="^counts length"):
+            Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_rejects_non_finite_edge(self, bad, where):
+        # a comparison with nan is false, so an ascending-order test alone lets it through
+        edges = np.array([0.0, 0.5, 1.0])
+        edges[where] = bad
+        with pytest.raises(ValueError, match=rf"^bin_edges must be finite .*got {bad}$"):
+            Histogram(bin_edges=edges, counts=np.array([1, 1]))
+
+    def test_descending_edge_named(self):
+        with pytest.raises(ValueError, match=r"^bin_edges .*strictly ascending, got 0\.4$"):
+            Histogram(bin_edges=np.array([0.0, 0.5, 0.4]), counts=np.array([1, 1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_non_finite_value_range(self, bad, where):
+        value_range = [0.0, 1.0]
+        value_range[where] = bad
+        with pytest.raises(ValueError, match=rf"^value_range must be finite .*got {bad}$"):
+            histogram(parse_series("0.5\n"), 4, tuple(value_range))
+
+    @pytest.mark.parametrize("value_range", [(0.6, 0.6), (0.6, 0.2)])
+    def test_rejects_empty_value_range(self, value_range):
+        with pytest.raises(ValueError, match=rf"^value_range .*ascending, got {value_range[1]}$"):
+            histogram(parse_series("0.5\n"), 4, value_range)
 
     @pytest.mark.parametrize("bad", [0.5, -0.5, 1.7, math.nan])
     def test_rejects_fractional_or_negative_counts(self, bad):
@@ -645,15 +680,15 @@ class TestFitGeometry:
                             [0.0, 5e-324, 1e-300]])
         eta = np.random.default_rng(seed).permutation(np.concatenate([
             t * t, sample_transmittance(REF_GEOMETRY, seed=seed, n=1000)]))
-        n, counts, lo, hi, first = ingest._cdf_counts(np.split(eta, sorted(cuts)))
+        n, counts, lo, hi = ingest._cdf_counts(np.split(eta, sorted(cuts)))
         root = np.sqrt(eta)
         assert np.array_equal(counts, np.searchsorted(np.sort(root), grid, side="right"))
-        assert (n, lo, hi, first) == (eta.size, eta.min(), eta.max(), eta[0])
+        assert (n, lo, hi) == (eta.size, eta.min(), eta.max())
 
     def test_constant_after_empty_piece(self):
         # an empty first piece, as a comment-only piece of a file yields
         facts = ingest._cdf_counts([np.empty(0), np.full(3, 0.25), np.empty(0), np.full(2, 0.25)])
-        assert facts[0] == 5 and facts[2:] == (0.25, 0.25, 0.25)
+        assert facts[0] == 5 and facts[2:] == (0.25, 0.25)
         with pytest.warns(UserWarning, match="fitting 5 samples"):
             assert ingest._fit(*facts) == fit_geometry(TransmittanceSeries(np.full(5, 0.25)))
 
