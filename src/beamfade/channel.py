@@ -14,6 +14,7 @@ eta = T^2 the intensity transmittance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,7 +37,7 @@ def _require(name, x, ok, rule):
         if not bad.any():
             return
         x = x[bad].flat[0]
-    elif ok and math.isfinite(x):
+    elif ok and abs(x) <= sys.float_info.max:  # unlike isfinite, no OverflowError on huge ints
         return
     raise ValueError(f"{name} must be finite and {rule}, got {x}")
 

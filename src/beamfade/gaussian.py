@@ -173,18 +173,16 @@ def _split_blocks(cm: CovMat2, measured_mode: int):
 def condition_on_homodyne(cm: CovMat2, measured_mode: int, quadrature: str = "x") -> np.ndarray:
     """Covariance of the kept mode after homodyning one quadrature of the other.
 
-    gamma_cond = A - C (Pi B Pi)^+ C^T, where Pi projects on the measured
-    quadrature and the pseudo-inverse reduces to the reciprocal of the
-    measured diagonal entry.
+    gamma_cond = A - C (Pi B Pi)^+ C^T, with the pseudo-inverse 1 / B_ii of the
+    measured variance.  B_ii is finite and > 0: a CovMat2 has a Cholesky
+    factor, and LAPACK potrf rejects any diagonal entry <= 0 or nan.
     """
     kept, meas, cross = _split_blocks(cm, measured_mode)
     idx = {"x": 0, "p": 1}.get(quadrature)
     if idx is None:
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    pivot = meas[idx, idx]
-    _require("measured quadrature variance", pivot, pivot > 0.0, "> 0")
     col = cross[:, idx]
-    return kept - np.outer(col, col) / pivot
+    return kept - np.outer(col, col) / meas[idx, idx]
 
 
 def condition_on_heterodyne(cm: CovMat2, measured_mode: int) -> np.ndarray:

@@ -103,7 +103,7 @@ class Histogram:
         if edges.ndim != 1 or edges.size < 3:
             raise ValueError("need at least two bins")
         _require("bin_edges", edges, np.append(True, edges[1:] > edges[:-1]), "strictly ascending")
-        if counts.size != edges.size - 1:
+        if counts.shape != (edges.size - 1,):
             raise ValueError("counts length must be number of bins")
         # checked before the cast to int, which would truncate 1.7 and -0.5
         _require("counts", counts, (counts >= 0) & (counts == np.round(counts)),

@@ -29,6 +29,7 @@ from beamfade.channel import (
     sample_transmittance,
     weibull_params,
 )
+from beamfade.fading import FadingStats, effective_channel, fading_excess_noise
 
 from oracles import (
     eta_disc_2d,
@@ -436,6 +437,9 @@ class TestWeibullParams:
             WeibullParams(t0=1.0, lam=math.nan, scale=math.nan)
         with pytest.raises(ValueError):
             WeibullParams(t0=0.9, lam=math.inf, scale=1.0)
+        for aw in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^a_over_W "):
+                weibull_params(aw)
 
 
 class TestEtaApprox:
@@ -794,3 +798,25 @@ class TestBeamGeometry:
     def test_rejects_non_finite_fields(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
             BeamGeometry(**kwargs)
+
+
+# an int beyond the float range, on which math.isfinite raises OverflowError
+HUGE = 10**400
+STABLE = FadingStats(eta_mean=0.25, sqrt_eta_mean=0.5, var_sqrt_eta=0.0, eta_max=0.36)
+
+
+class TestIntBeyondFloatRange:
+
+    @pytest.mark.parametrize("field, call", [
+        pytest.param("a_over_W", lambda: BeamGeometry(HUGE, 0.3), id="BeamGeometry-a_over_W"),
+        pytest.param("sigma_b2", lambda: BeamGeometry(1, HUGE), id="BeamGeometry-sigma_b2"),
+        pytest.param("a_over_W", lambda: weibull_params(HUGE), id="weibull_params"),
+        pytest.param("seed", lambda: sample_transmittance(BeamGeometry(1.0, 0.3), seed=HUGE, n=3),
+                     id="sample_transmittance"),
+        pytest.param("v", lambda: fading_excess_noise(STABLE, HUGE), id="fading_excess_noise"),
+        pytest.param("epsilon", lambda: effective_channel(STABLE, 2, HUGE), id="effective_channel"),
+        pytest.param("sigma_b2", lambda: pdt_cdf(0.5, weibull_params(1.0), HUGE), id="pdt_cdf"),
+    ])
+    def test_field_named(self, field, call):
+        with pytest.raises(ValueError, match=rf"^{field} .*got {HUGE}$"):
+            call()

@@ -352,6 +352,15 @@ class TestConditionOnHeterodyne:
         with pytest.raises(ValueError):
             condition_on_heterodyne(tmsv(2.0), measured_mode=0)
 
+    def test_singular_b_plus_identity_raises(self):
+        # B's exact determinant is -4, but eigvalsh's rounding error at
+        # |gamma| ~ 2e16 is about 4, so CovMat2 accepts it, and B + I rounds
+        # to a singular matrix
+        b = [[1e16, 1.0000000000000002e16], [1.0000000000000002e16, 1.0000000000000004e16]]
+        cm = CovMat2(a=np.eye(2), b=b)
+        with pytest.raises(ArithmeticError, match="^singular heterodyne matrix B \\+ I$"):
+            condition_on_heterodyne(cm, measured_mode=2)
+
 
 class TestConditioningEntropy:
 

@@ -514,6 +514,8 @@ class TestHistogram:
                       counts=np.array([1, -2]))
         with pytest.raises(ValueError, match="^counts length"):
             Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([1]))
+        with pytest.raises(ValueError, match="^counts length"):
+            Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([[1, 1]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 1, 2])
