@@ -14,7 +14,6 @@ eta = T^2 the intensity transmittance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,19 +26,23 @@ class QuadratureError(ArithmeticError):
 
 
 def _require(name, x, ok, rule):
-    """Raise a ValueError naming `name` unless x is finite and ok holds.
-
-    ok is the range condition, evaluated by the caller.  Scalars skip numpy,
-    which would cost ten times the check; an array reports its first bad entry.
-    """
-    if isinstance(x, np.ndarray):
-        bad = ~(np.isfinite(x) & ok)
-        if not bad.any():
-            return
-        x = x[bad].flat[0]
-    elif ok and abs(x) <= sys.float_info.max:  # unlike isfinite, no OverflowError on huge ints
-        return
-    raise ValueError(f"{name} must be finite and {rule}, got {x}")
+    """x as a float array, or a ValueError that starts with `name`: each entry
+    must be a real number, finite, and pass ok, a function of the float array.
+    Text, complex numbers, None (nan) and ints beyond the float range fail.  A
+    0-d x reports itself, an array its first bad entry."""
+    try:  # same_kind refuses text and complex numbers, which numpy would parse or truncate
+        a = np.asarray(x)
+        v = a.astype(float, copy=False, casting="unsafe" if a.dtype.kind == "O" else "same_kind")
+    except (OverflowError, TypeError, ValueError):  # also a ragged x
+        entries = np.asarray(x, dtype=object)
+        for e in entries.flat if entries.ndim else ():  # the first non-number raises
+            _require(name, e, lambda e: True, rule)
+        raise ValueError(f"{name} must be finite and {rule}, got {x!r}") from None
+    good = np.isfinite(v) & ok(v)
+    if good.all() and (v.size or np.all(ok(v))):  # an empty n=[] is no int: ok is one bool
+        return v
+    bad = v[~good] if a.ndim else ()
+    raise ValueError(f"{name} must be finite and {rule}, got {bad[0] if len(bad) else x}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class BeamGeometry:
     sigma_b2: float
 
     def __post_init__(self):
-        _require("a_over_W", self.a_over_W, self.a_over_W > 0, "> 0")
-        _require("sigma_b2", self.sigma_b2, self.sigma_b2 >= 0, ">= 0")
+        _require("a_over_W", self.a_over_W, lambda a: a > 0, "> 0")
+        _require("sigma_b2", self.sigma_b2, lambda s: s >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class WeibullParams:
     scale: float
 
     def __post_init__(self):
-        _require("t0", self.t0, 0 < self.t0 <= 1, "in (0, 1]")
-        _require("lam", self.lam, self.lam > 0, "> 0")
-        _require("scale", self.scale, self.scale > 0, "> 0")
+        _require("t0", self.t0, lambda t: 0 < t <= 1, "in (0, 1]")
+        _require("lam", self.lam, lambda lam: lam > 0, "> 0")
+        _require("scale", self.scale, lambda s: s > 0, "> 0")
 
 
 def max_transmission_coefficient(a_over_W):
@@ -94,8 +97,7 @@ def max_transmission_coefficient(a_over_W):
     float or ndarray
         t0 = sqrt(1 - exp(-2 (a/W)^2)), in (0, 1]; a float for a scalar.
     """
-    a_over_W = np.asarray(a_over_W, dtype=float)
-    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
+    a_over_W = _require("a_over_W", a_over_W, lambda a: a > 0, "> 0")
     with np.errstate(over="ignore"):  # (a/W)^2 is inf, t0 = 1, beyond 1.3e154
         out = np.sqrt(-np.expm1(-2.0 * a_over_W * a_over_W))
     return out if out.ndim else float(out)
@@ -316,10 +318,8 @@ def exact_eta_at_offset(r, a_over_W):
     QuadratureError
         If an a/W is above about 6.7e153, where k = 4 (a/W)^2 overflows.
     """
-    r, a_over_W = np.asarray(r, dtype=float), np.asarray(a_over_W, dtype=float)
-    _require("offset r", r, r >= 0, ">= 0")
-    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
-    out = _eta_exact(r, a_over_W)
+    r = _require("offset r", r, lambda r: r >= 0, ">= 0")
+    out = _eta_exact(r, _require("a_over_W", a_over_W, lambda a: a > 0, "> 0"))
     return out if out.ndim else float(out)
 
 
@@ -391,14 +391,13 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     a/W -> 0.  Raises QuadratureError naming a_over_W below about 8.6e-78
     and above about 6.7e153, where those sums leave the float range.
     """
-    _require("a_over_W", a_over_W, a_over_W > 0, "> 0")
+    a_over_W = _require("a_over_W", a_over_W, lambda a: a > 0, "> 0")
     return WeibullParams(*map(float, _weibull(a_over_W)))
 
 
 def eta_approx(r, params: WeibullParams):
     """Weibull-form transmittance t0^2 * exp(-(r/scale)**lam) at offset r."""
-    r = np.asarray(r, dtype=float)
-    _require("offset r", r, r >= 0, ">= 0")
+    r = _require("offset r", r, lambda r: r >= 0, ">= 0")
     # at large lam, (r/scale)**lam overflows to inf beyond the rim, where
     # exp(-inf) = 0 is the right transmittance
     with np.errstate(over="ignore"):
@@ -447,9 +446,8 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     float or ndarray
         Density per unit T, >= 0.
     """
-    _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
-    t = np.asarray(t, dtype=float)
-    _require("t", t, True, "real")
+    _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0")
+    t = _require("t", t, lambda t: True, "real")
     u, r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
     # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where T <= 0 or T >= t0,
     # a 0/0 or inf * 0 gives way to 0.  Dividing by T last keeps a subnormal T from
@@ -472,9 +470,8 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     for t >= t0.  Closed form: integrating `pdt_density` reproduces it, and
     `ingest.fit_geometry` evaluates the same kernel as its model CDF.
     """
-    _require("sigma_b2", sigma_b2, sigma_b2 > 0, "> 0")
-    t = np.asarray(t, dtype=float)
-    _require("t", t, True, "real")
+    _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0")
+    t = _require("t", t, lambda t: True, "real")
     out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[2]
     return out if out.ndim else float(out)
 
@@ -488,8 +485,8 @@ def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
     in a/W.  y comes from a second generator of the seed that has drawn and
     discarded n values, so the blocks join into the draw of x, then of y."""
     for name, x, least in (("n (sample count)", n, 1), ("seed", seed, 0)):
-        _require(name, x, isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                 and x >= least, f"an integer >= {least}")
+        _require(name, x, lambda v: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                 and v >= least, f"an integer >= {least}")
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
     if model == "approx":

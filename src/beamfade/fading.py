@@ -65,14 +65,14 @@ class FadingStats:
 
     def __post_init__(self):
         eps = 1e-9
-        _require("eta_max", self.eta_max, self.eta_max <= 1.0 + eps, "<= 1")
+        top = _require("eta_max", self.eta_max, lambda m: m <= 1.0 + eps, "<= 1")
         # bounded before it is squared; above 1 + 2 eps it fails the checks below
-        _require("sqrt_eta_mean", self.sqrt_eta_mean,
-                 0.0 <= self.sqrt_eta_mean <= 1.0 + 2 * eps, "in [0, 1]")
+        t = _require("sqrt_eta_mean", self.sqrt_eta_mean, lambda t: 0.0 <= t <= 1.0 + 2 * eps,
+                     "in [0, 1]")
+        _require("eta_mean", self.eta_mean, lambda e: e - t * t >= -eps and e <= top + eps,
+                 "in [<sqrt(eta)>^2, eta_max]")
         identity = self.eta_mean - self.sqrt_eta_mean * self.sqrt_eta_mean
-        _require("eta_mean", self.eta_mean, identity >= -eps
-                 and self.eta_mean <= self.eta_max + eps, "in [<sqrt(eta)>^2, eta_max]")
-        _require("var_sqrt_eta", self.var_sqrt_eta, abs(self.var_sqrt_eta - identity) <= eps,
+        _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
                  f"<eta> - <sqrt(eta)>^2 = {identity}")
         # roundoff can leave a tiny negative variance for a constant channel
         object.__setattr__(self, "var_sqrt_eta", max(identity, 0.0))
@@ -191,13 +191,12 @@ def empirical_moments(samples) -> FadingStats:
     FadingStats
         eta_max is set to the largest sample.
     """
-    eta = np.asarray(samples, dtype=float).ravel()
+    eta = _require("samples", samples, lambda e: True, "real").ravel()
     if eta.size == 0:
         raise ValueError("empty sample sequence")
     bad = np.flatnonzero(~((eta >= 0.0) & (eta <= 1.0)))
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"sample {i} out of range [0, 1]: {eta[i]}")
+        raise ValueError(f"sample {bad[0]} out of range [0, 1]: {eta[bad[0]]}")
     return _empirical([eta])[1]
 
 
@@ -242,7 +241,7 @@ def fading_excess_noise(stats: FadingStats, v: float) -> float:
     V is the quadrature variance of the state entering the channel, in
     shot-noise units; the vacuum (V = 1) picks up no fading noise.
     """
-    _require("v (quadrature variance)", v, v >= 1.0, ">= 1 SNU")
+    _require("v (quadrature variance)", v, lambda v: v >= 1.0, ">= 1 SNU")
     return stats.var_sqrt_eta * (v - 1.0)
 
 
@@ -255,6 +254,6 @@ def effective_channel(stats: FadingStats, v: float, epsilon: float) -> tuple[flo
     excess noise referred to the channel input.
     """
     noise = fading_excess_noise(stats, v)
-    _require("epsilon (excess noise)", epsilon, epsilon >= 0.0, ">= 0")
+    _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0")
     t_eff = stats.sqrt_eta_mean**2
     return t_eff, noise + t_eff * epsilon

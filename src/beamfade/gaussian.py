@@ -46,10 +46,9 @@ class CovMat2:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = _require(f"block {name}", getattr(self, name), lambda m: True, "real")
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
-            _require(f"block {name}", m, True, "real")
             object.__setattr__(self, name, m)
         full = self.matrix
         if not (np.allclose(self.a, self.a.T, atol=1e-10)
@@ -78,10 +77,9 @@ class CovMat2:
 
     @classmethod
     def from_matrix(cls, m) -> "CovMat2":
-        m = np.asarray(m, dtype=float)
+        m = _require("covariance matrix", m, lambda m: True, "real")
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        _require("covariance matrix", m, True, "real")
         if not np.allclose(m, m.T, atol=1e-10):
             raise ValueError("covariance matrix must be symmetric")
         return cls(a=m[:2, :2], b=m[2:, 2:], c=m[:2, 2:])
@@ -93,8 +91,7 @@ def tmsv(v: float) -> CovMat2:
     A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.  V must
     lie in [1, V_MAX], the state variances the key-rate kernels accept.
     """
-    _require("v (quadrature variance)", v, 1.0 <= v <= V_MAX,
-             f"in [1, {V_MAX:g}] SNU")
+    _require("v (quadrature variance)", v, lambda v: 1.0 <= v <= V_MAX, f"in [1, {V_MAX:g}] SNU")
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))
@@ -112,7 +109,7 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     + <sqrt(eta)>^2 epsilon on the diagonal; correlations scale with
     <sqrt(eta)>; mode 1 is untouched.
     """
-    _require("epsilon (excess noise)", epsilon, epsilon >= 0.0, ">= 0")
+    _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0")
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c
@@ -152,7 +149,7 @@ def entropy_g(nu: float) -> float:
     sums non-negative terms and so stays finite and accurate up to 1e308.
     nu down to 1 - 1e-9 (a pure mode, up to rounding) gives 0.
     """
-    _require("nu (symplectic eigenvalue)", nu, nu >= 1.0 - _EIG_TOL, ">= 1")
+    _require("nu (symplectic eigenvalue)", nu, lambda nu: nu >= 1.0 - _EIG_TOL, ">= 1")
     return float(_entropy(nu))
 
 

@@ -79,10 +79,9 @@ class TransmittanceSeries:
     source_label: str = ""
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _require("samples", self.samples, lambda s: (s >= 0.0) & (s <= 1.0), "in [0, 1]")
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError(f"samples must be a non-empty 1-D array, got shape {samples.shape}")
-        _require("samples", samples, (samples >= 0.0) & (samples <= 1.0), "in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -98,18 +97,16 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts)
-        if edges.ndim != 1 or edges.size < 3:
+        if np.ndim(self.bin_edges) != 1 or np.size(self.bin_edges) < 3:
             raise ValueError("need at least two bins")
-        _require("bin_edges", edges, np.append(True, edges[1:] > edges[:-1]), "strictly ascending")
-        if counts.shape != (edges.size - 1,):
+        edges = _require("bin_edges", self.bin_edges, lambda e: np.append(True, e[1:] > e[:-1]),
+                         "strictly ascending")
+        if np.shape(self.counts) != (edges.size - 1,):
             raise ValueError("counts length must be number of bins")
-        # checked before the cast to int, which would truncate 1.7 and -0.5
-        _require("counts", counts, (counts >= 0) & (counts == np.round(counts)),
-                 "an integer >= 0")
+        # checked as floats, before the cast to int, which would truncate 1.7 and -0.5
+        _require("counts", self.counts, lambda c: (c >= 0) & (c == np.round(c)), "an integer >= 0")
         object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts.astype(int))
+        object.__setattr__(self, "counts", np.asarray(self.counts).astype(int))
 
     @property
     def total(self) -> int:
@@ -241,12 +238,12 @@ def histogram(series: TransmittanceSeries, bins: int, value_range=None) -> Histo
     The default range is [0, max sample]; samples outside an explicit range
     are dropped from the counts.
     """
-    _require("bins", bins, isinstance(bins, (int, np.integer)) and bins >= 2, "an integer >= 2")
+    _require("bins", bins, lambda b: isinstance(bins, numbers.Integral) and b >= 2,
+             "an integer >= 2")
     if value_range is None:
         hi = float(series.samples.max())
         value_range = (0.0, hi if hi > 0.0 else 1.0)
-    lo, hi = float(value_range[0]), float(value_range[1])
-    _require("value_range", np.array([lo, hi]), [True, hi > lo], "ascending")
+    lo, hi = _require("value_range", value_range[:2], lambda r: [True, r[1] > r[0]], "ascending")
     counts, edges = np.histogram(series.samples, bins=bins, range=(lo, hi))
     return Histogram(bin_edges=edges, counts=counts)
 

@@ -41,9 +41,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_noise_and_efficiency(epsilon, beta):
-    _require("epsilon (excess noise)", epsilon, 0.0 <= epsilon <= EPSILON_MAX,
+    _require("epsilon (excess noise)", epsilon, lambda e: 0.0 <= e <= EPSILON_MAX,
              f"in [0, {EPSILON_MAX:g}] SNU")
-    _require("beta", beta, 0.0 < beta <= 1.0, "in (0, 1]")
+    _require("beta", beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        _require("v (state variance)", self.v, 1.0 <= self.v <= V_MAX,
+        _require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
                  f"in [1, {V_MAX:g}] SNU")
         _check_noise_and_efficiency(self.epsilon, self.beta)
 

@@ -29,7 +29,10 @@ from beamfade.channel import (
     sample_transmittance,
     weibull_params,
 )
-from beamfade.fading import FadingStats, effective_channel, fading_excess_noise
+from beamfade.fading import FadingStats, effective_channel, empirical_moments, fading_excess_noise
+from beamfade.gaussian import CovMat2, entropy_g, tmsv
+from beamfade.ingest import Histogram, TransmittanceSeries, histogram, parse_series
+from beamfade.keyrate import ProtocolParams
 
 from oracles import (
     eta_disc_2d,
@@ -816,7 +819,74 @@ class TestIntBeyondFloatRange:
         pytest.param("v", lambda: fading_excess_noise(STABLE, HUGE), id="fading_excess_noise"),
         pytest.param("epsilon", lambda: effective_channel(STABLE, 2, HUGE), id="effective_channel"),
         pytest.param("sigma_b2", lambda: pdt_cdf(0.5, weibull_params(1.0), HUGE), id="pdt_cdf"),
+        # the array sites: a 0-d argument reports itself, an array its entry
+        pytest.param("a_over_W", lambda: max_transmission_coefficient(HUGE),
+                     id="max_transmission_coefficient"),
+        pytest.param("offset r", lambda: exact_eta_at_offset(HUGE, 1.0),
+                     id="exact_eta_at_offset-r"),
+        pytest.param("a_over_W", lambda: exact_eta_at_offset(0.5, [1.0, HUGE]),
+                     id="exact_eta_at_offset-a_over_W"),
+        pytest.param("offset r", lambda: eta_approx(HUGE, weibull_params(1.0)), id="eta_approx"),
+        pytest.param("t", lambda: pdt_density(HUGE, weibull_params(1.0), 0.3), id="pdt_density-t"),
+        pytest.param("t", lambda: pdt_cdf([0.5, HUGE], weibull_params(1.0), 0.3), id="pdt_cdf-t"),
+        pytest.param("samples", lambda: TransmittanceSeries([0.5, HUGE]), id="TransmittanceSeries"),
+        pytest.param("samples", lambda: empirical_moments([[0.5], [HUGE]]), id="empirical_moments"),
+        pytest.param("bin_edges", lambda: Histogram([0.0, 0.5, HUGE], [1, 1]), id="Histogram"),
+        pytest.param("value_range", lambda: histogram(parse_series("0.5\n"), 2, (0, HUGE)),
+                     id="histogram"),
+        pytest.param("block a", lambda: CovMat2(a=[[HUGE, 0], [0, 1]], b=np.eye(2)), id="CovMat2"),
+        pytest.param("covariance matrix",
+                     lambda: CovMat2.from_matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+                                                  [0, 0, 1, 0], [0, 0, 0, HUGE]]),
+                     id="from_matrix"),
     ])
     def test_field_named(self, field, call):
         with pytest.raises(ValueError, match=rf"^{field} .*got {HUGE}$"):
+            call()
+
+
+class TestNotANumber:
+    """Text, complex numbers and None raise the field's ValueError, not the
+    TypeError of a comparison; numpy would parse the text and cut the complex
+    number to its real part."""
+
+    @pytest.mark.parametrize("bad", ["0.25", 1 + 1j, None], ids=["str", "complex", "None"])
+    @pytest.mark.parametrize("field, call", [
+        ("a_over_W", lambda x: BeamGeometry(x, 0.3)),
+        ("t0", lambda x: WeibullParams(x, 2.0, 1.0)),
+        # eta_mean is checked before <eta> - <sqrt(eta)>^2 is formed from it
+        ("eta_mean", lambda x: FadingStats(x, 0.5, 0.0, 0.36)),
+        ("v (state variance)", ProtocolParams),
+        ("v (quadrature variance)", tmsv),
+        ("nu (symplectic eigenvalue)", entropy_g),
+        ("v (quadrature variance)", lambda x: fading_excess_noise(STABLE, x)),
+        ("a_over_W", max_transmission_coefficient),
+    ], ids=["BeamGeometry", "WeibullParams", "FadingStats", "ProtocolParams", "tmsv",
+            "entropy_g", "fading_excess_noise", "max_transmission_coefficient"])
+    def test_field_named(self, field, call, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} .*got {re.escape(repr(bad))}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("values, got", [
+        ([0.5, "x"], "'x'"),
+        (["0.5", "0.25"], "'0.5'"),
+        ([[0.5, 0.25], [1 + 1j, 0.5]], re.escape("(1+1j)")),
+        (np.array([0.5, 0.25], dtype=complex), re.escape("(0.5+0j)")),
+    ])
+    def test_array_reports_one_entry(self, values, got):
+        with pytest.raises(ValueError, match=rf"^offset r must be finite and >= 0, got {got}$"):
+            exact_eta_at_offset(values, 1.0)
+
+    def test_ragged_array_named(self):
+        with pytest.raises(ValueError, match=r"^offset r .*got \[\[0\.5\], \[0\.25, 1\]\]$"):
+            exact_eta_at_offset([[0.5], [0.25, 1]], 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample_transmittance(BeamGeometry(1.0, 0.3), seed=[], n=3),
+        lambda: sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=np.array([], dtype=int)),
+        lambda: histogram(parse_series("0.5\n"), ()),
+    ], ids=["seed", "n", "bins"])
+    def test_empty_array_is_no_integer(self, call):
+        # every entry of an empty array passes; the integer test is on the whole value
+        with pytest.raises(ValueError, match=r"an integer >= \d, got (\[\]|\(\))$"):
             call()

@@ -517,6 +517,18 @@ class TestHistogram:
         with pytest.raises(ValueError, match="^counts length"):
             Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([[1, 1]]))
 
+    @pytest.mark.parametrize("counts, got", [
+        ([10**400, 1], str(10**400)), (["1", "1"], "'1'"), ([1, 1.5], "1.5")])
+    def test_counts_named(self, counts, got):
+        # numpy has no rint for a Python int, nor a comparison of text with 0
+        with pytest.raises(ValueError, match=rf"^counts .*got {got}$"):
+            Histogram(bin_edges=[0.0, 0.5, 1.0], counts=counts)
+
+    def test_counts_beyond_float_precision_stay_exact(self):
+        hist = Histogram(bin_edges=[0.0, 0.5, 1.0], counts=[2**60 + 1, 1])
+        assert hist.counts.tolist() == [2**60 + 1, 1]
+        assert hist.total == 2**60 + 2
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_rejects_non_finite_edge(self, bad, where):
