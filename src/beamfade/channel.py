@@ -14,6 +14,7 @@ eta = T^2 the intensity transmittance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,10 +29,12 @@ class QuadratureError(ArithmeticError):
 def _require(name, x, ok, rule):
     """x as a float array, or a ValueError that starts with `name`: each entry
     must be a real number, finite, and pass ok, a function of the float array.
-    Text, complex numbers, None (nan) and ints beyond the float range fail.  A
-    0-d x reports itself, an array its first bad entry."""
+    Text, complex numbers, a Decimal, None and ints beyond the float range fail.
+    A 0-d x reports itself, an array its first bad entry."""
     try:  # same_kind refuses text and complex numbers, which numpy would parse or truncate
         a = np.asarray(x)
+        if a.dtype.kind == "O" and not all(isinstance(e, numbers.Real) for e in a.flat):
+            raise TypeError  # float() would parse text and take a Decimal
         v = a.astype(float, copy=False, casting="unsafe" if a.dtype.kind == "O" else "same_kind")
     except (OverflowError, TypeError, ValueError):  # also a ragged x
         entries = np.asarray(x, dtype=object)

@@ -153,15 +153,15 @@ def _sweep(args, columns):
     """Yield the rows (a/W, sigma_b2, *columns) of a sweep over the a/W grid.
 
     The moment rule runs once per sigma_b2 and block of _SWEEP_BLOCK a/W
-    values, and `columns(<eta>, <sqrt(eta)>)` maps the moments over the whole
-    grid to blocks of columns, arrays over the grid or scalars.  The rows run
-    over sigma_b2, then block of columns, then a/W.
+    values; `columns` maps its <eta>, <sqrt(eta)> and Var(sqrt(eta)) >= 0 over
+    the grid to blocks of columns, arrays over the grid or scalars.  The rows
+    run over sigma_b2, then block of columns, then a/W.
     """
     if not args.aw_max > args.aw_min:
         raise ValueError("aw_max must exceed aw_min")
     grid = np.linspace(args.aw_min, args.aw_max, args.steps)
     for s2 in args.sigma_b2 or (0.3,):
-        moments = (_moments(grid[i:i + _SWEEP_BLOCK], s2, args.model)[:2]
+        moments = (_moments(grid[i:i + _SWEEP_BLOCK], s2, args.model)[:3]
                    for i in range(0, grid.size, _SWEEP_BLOCK))
         for block in columns(*map(np.concatenate, zip(*moments))):
             yield from np.column_stack(np.broadcast_arrays(grid, s2, *block)).tolist()
@@ -178,14 +178,13 @@ def cmd_stats(args):
 
 def cmd_curve(args):
     header = ("a_over_W", "sigma_b2", "eta_mean", "sqrt_eta_mean", "var_sqrt_eta")
-    # the clamp gives m2 >= m1 * m1
-    return _csv(header, _sweep(args, lambda m2, m1: [(m2, m1, m2 - m1 * m1)]))
+    return _csv(header, _sweep(args, lambda *moments: [moments]))
 
 
 def cmd_ln_curve(args):
     header = ("a_over_W", "sigma_b2", "V", "LN")
-    return _csv(header, _sweep(args, lambda m2, m1: [
-        (v, _log_negativity(v, m2, m1, args.excess_noise))
+    return _csv(header, _sweep(args, lambda *moments: [
+        (v, _log_negativity(v, *moments, args.excess_noise))
         for v in args.ln0 or args.variance or (7.0,)]))
 
 
@@ -193,12 +192,11 @@ def cmd_kr_curve(args):
     header = ("a_over_W", "sigma_b2", "V_used", "I_AB", "chi_BE", "KR",
               *(() if args.clamp else ("KR_clamped",)))
 
-    def columns(eta_mean, sqrt_eta_mean):
-        v = np.full(eta_mean.shape, args.variance)
+    def columns(*moments):
+        v = np.full(moments[0].shape, args.variance)
         if args.optimize:
-            v = _optimize(eta_mean, sqrt_eta_mean, args.excess_noise, args.beta)[0]
-        i_ab, chi, kr = _rates(v, eta_mean, sqrt_eta_mean, args.excess_noise,
-                               args.beta)
+            v = _optimize(*moments, args.excess_noise, args.beta)[0]
+        i_ab, chi, kr = _rates(v, *moments, args.excess_noise, args.beta)
         clamped = np.where(kr > 0.0, kr, 0.0)  # max(0, KR), 0 for -0 and nan
         return [(v, i_ab, chi, *((clamped,) if args.clamp else (kr, clamped)))]
     return _csv(header, _sweep(args, columns))

@@ -99,10 +99,11 @@ def _moments(a_over_W, sigma_b2: float, model: str):
 
     t0, the Weibull matching and the rule (see the constants above) each run
     over the whole a/W array, so a sweep costs one call per sigma_b2;
-    `analytic_moments` is the call for one geometry.  Returns the arrays
-    <eta>, <sqrt(eta)> and eta_max over a/W, clamped to <sqrt(eta)>^2 <=
-    <eta> <= eta_max; the exact <eta> is in closed form.  Raises
-    QuadratureError naming the first a/W at which the matching degenerates.
+    `analytic_moments` is the call for one geometry.  Returns FadingStats'
+    fields as arrays over a/W.  Var(sqrt(eta)) is formed after the clamps to
+    <sqrt(eta)>^2 <= <eta> <= eta_max, so it is >= 0.  The exact <eta> is in
+    closed form.  Raises QuadratureError naming the first a/W at which the
+    matching degenerates.
     """
     t0 = max_transmission_coefficient(a_over_W)
     mean_t, mean_t2 = t0, t0 * t0
@@ -143,7 +144,7 @@ def _moments(a_over_W, sigma_b2: float, model: str):
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
     mean_t2 = np.minimum(np.maximum(mean_t2, mean_t**2), t0**2)
-    return mean_t2, mean_t, t0**2
+    return mean_t2, mean_t, mean_t2 - mean_t * mean_t, t0**2
 
 
 def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingStats:
@@ -172,10 +173,8 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     """
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
-    m2, m1, e = (x.item() for x in _moments(np.array([geometry.a_over_W]),
-                                            geometry.sigma_b2, model))
-    return FadingStats(eta_mean=m2, sqrt_eta_mean=m1, var_sqrt_eta=m2 - m1 * m1,
-                       eta_max=e)
+    return FadingStats(*(x.item() for x in _moments(np.array([geometry.a_over_W]),
+                                                    geometry.sigma_b2, model)))
 
 
 def empirical_moments(samples) -> FadingStats:

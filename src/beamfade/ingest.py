@@ -103,8 +103,9 @@ class Histogram:
                          "strictly ascending")
         if np.shape(self.counts) != (edges.size - 1,):
             raise ValueError("counts length must be number of bins")
-        # checked as floats, before the cast to int, which would truncate 1.7 and -0.5
-        _require("counts", self.counts, lambda c: (c >= 0) & (c == np.round(c)), "an integer >= 0")
+        # checked as floats: the cast to int would truncate 1.7 and -0.5 and wrap 2**63
+        _require("counts", self.counts, lambda c: (c >= 0) & (c < 2.0**63) & (c == np.round(c)),
+                 "an integer in [0, 2**63)")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", np.asarray(self.counts).astype(int))
 

@@ -84,32 +84,32 @@ def _entropy(nu):
     return (np.log1p(x) + tail) / _LN2
 
 
-def _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon):
+def _faded_tmsv(v, eta_mean, sqrt_eta_mean, var, epsilon):
     """Invariants of the TMSV of variance V after the fading channel.
 
     The state is A = V I, B = b I, C = c diag(1, -1) with
     b = 1 + <eta>(V - 1) + t epsilon and c^2 = t (V^2 - 1), t = <sqrt(eta)>^2
-    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  Returns t,
-    var = <eta> - t, the input-referred noise t epsilon, b, c and
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  var = Var(sqrt(eta))
+    >= 0 is the caller's, as the clamps of `fading._moments` and `FadingStats`
+    guarantee.  Returns t, the input-referred noise t epsilon, b, c and
     D = V b - c^2 = V (1 - <eta>) + V^2 var + t (1 + V epsilon), a sum of
     non-negative terms.
     """
     t = sqrt_eta_mean**2
-    var = np.maximum(eta_mean - t, 0.0)
     noise = t * epsilon
     b = 1.0 + eta_mean * (v - 1.0) + noise
     c = np.sqrt(t * (v - 1.0) * (v + 1.0))
     d = v * (1.0 - eta_mean) + v * v * var + t * (1.0 + v * epsilon)
-    return t, var, noise, b, c, d
+    return t, noise, b, c, d
 
 
 @np.errstate(over="raise", invalid="raise")
-def _rates(v, eta_mean, sqrt_eta_mean, epsilon, beta):
+def _rates(v, eta_mean, sqrt_eta_mean, var, epsilon, beta):
     """(I_AB, chi_BE, KR) of the faded TMSV, broadcast over all arguments.
 
-    With the invariants of `_faded_tmsv`, every quantity below is a sum of
-    non-negative terms (|V - b| is only ever added), so nothing cancels near
-    pure states or at large V:
+    With the invariants of `_faded_tmsv` (whose var >= 0 is the caller's),
+    every quantity below is a sum of non-negative terms (|V - b| is only ever
+    added), so nothing cancels near pure states or at large V:
 
     - the sender's heterodyne leaves the receiver's x with variance
       V_B|A = 1 + var (V - 1) + t epsilon, and I_AB = log2(b / V_B|A) / 2;
@@ -121,7 +121,7 @@ def _rates(v, eta_mean, sqrt_eta_mean, epsilon, beta):
 
     Overflow, far beyond any physical V, raises FloatingPointError.
     """
-    t, var, noise, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon)
+    t, noise, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, var, epsilon)
     i_ab = np.log1p(t * (v - 1.0) / (1.0 + var * (v - 1.0) + noise)) / (2.0 * _LN2)
     ell = ((1.0 - t) * v + 1.0 + t) / (np.sqrt(v + 1.0) + np.sqrt(t * (v - 1.0)))
     s = np.sqrt((ell * ell + var * (v - 1.0) + noise) * (v + b + 2.0 * c))
@@ -131,20 +131,21 @@ def _rates(v, eta_mean, sqrt_eta_mean, epsilon, beta):
 
 
 @np.errstate(over="raise", invalid="raise")
-def _log_negativity(v, eta_mean, sqrt_eta_mean, epsilon):
+def _log_negativity(v, eta_mean, sqrt_eta_mean, var, epsilon):
     """LN of the faded TMSV, max{0, -log2 nu~}, broadcast over all arguments.
 
-    The partial transpose has nu~ nu~' = D and nu~ + nu~' = V + b, so its
-    smaller symplectic eigenvalue is nu~ = 2D / (V + b + sqrt((V - b)^2 + 4c^2))
-    without cancellation, however pure the state.
+    var >= 0 is the caller's (see `_faded_tmsv`).  The partial transpose has
+    nu~ nu~' = D and nu~ + nu~' = V + b, so its smaller symplectic eigenvalue
+    is nu~ = 2D / (V + b + sqrt((V - b)^2 + 4c^2)) without cancellation,
+    however pure the state.
     """
-    _, _, _, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, epsilon)
+    *_, b, c, d = _faded_tmsv(v, eta_mean, sqrt_eta_mean, var, epsilon)
     nu = 2.0 * d / (v + b + np.hypot(v - b, 2.0 * c))
     return np.maximum(0.0, -np.log2(nu)) + 0.0  # + 0 turns the -0 of nu~ = 1 into +0
 
 
 def _point(params: ProtocolParams, stats: FadingStats):
-    return _rates(params.v, stats.eta_mean, stats.sqrt_eta_mean,
+    return _rates(params.v, stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
                   params.epsilon, params.beta)
 
 
@@ -190,17 +191,17 @@ class ModulationOptimum:
     all_negative: bool = False
 
 
-def _optimize(eta_mean, sqrt_eta_mean, epsilon, beta):
+def _optimize(eta_mean, sqrt_eta_mean, var, epsilon, beta):
     """The search of `optimize_modulation` for many channels in lockstep.
 
-    The arguments broadcast to one 1-D array of channels.  The coarse grid is
-    one kernel call for all of them; golden section then advances every
-    channel whose bracket is still wider than the stopping rule, one kernel
-    call per step, so each channel takes exactly the steps it would take
-    alone.  Returns the arrays (v_opt, kr_opt, at_cap, all_negative).
+    The arguments, var >= 0 as in `_faded_tmsv`, broadcast to one 1-D array
+    of channels.  The coarse grid is one kernel call for all of them; golden
+    section then advances every channel whose bracket is still wider than the
+    stopping rule, one kernel call per step, so each channel takes exactly the
+    steps it would take alone.  Returns the arrays of ModulationOptimum's fields.
     """
     channels = np.broadcast_arrays(
-        *np.atleast_1d(eta_mean, sqrt_eta_mean, epsilon, beta))
+        *np.atleast_1d(eta_mean, sqrt_eta_mean, var, epsilon, beta))
 
     def rate(v, idx=slice(None)):
         return _rates(v, *(x[idx] for x in channels))[2]
@@ -249,8 +250,5 @@ def optimize_modulation(stats: FadingStats, epsilon: float,
     Deterministic: identical inputs give identical results.
     """
     _check_noise_and_efficiency(epsilon, beta)
-    v_opt, kr_opt, at_cap, all_negative = _optimize(
-        stats.eta_mean, stats.sqrt_eta_mean, epsilon, beta)
-    return ModulationOptimum(v_opt=float(v_opt[0]), kr_opt=float(kr_opt[0]),
-                             at_cap=bool(at_cap[0]),
-                             all_negative=bool(all_negative[0]))
+    found = _optimize(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta, epsilon, beta)
+    return ModulationOptimum(*(x[0].item() for x in found))

@@ -4,6 +4,8 @@ import math
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -846,11 +848,13 @@ class TestIntBeyondFloatRange:
 
 
 class TestNotANumber:
-    """Text, complex numbers and None raise the field's ValueError, not the
-    TypeError of a comparison; numpy would parse the text and cut the complex
-    number to its real part."""
+    """Text, complex numbers, a Decimal and None raise the field's ValueError,
+    not the TypeError of a comparison; numpy would parse the text and cut the
+    complex number to its real part, and float() would take the Decimal, which
+    the field's later arithmetic with floats refuses."""
 
-    @pytest.mark.parametrize("bad", ["0.25", 1 + 1j, None], ids=["str", "complex", "None"])
+    @pytest.mark.parametrize("bad", ["0.25", 1 + 1j, None, Decimal("0.25")],
+                             ids=["str", "complex", "None", "Decimal"])
     @pytest.mark.parametrize("field, call", [
         ("a_over_W", lambda x: BeamGeometry(x, 0.3)),
         ("t0", lambda x: WeibullParams(x, 2.0, 1.0)),
@@ -872,6 +876,8 @@ class TestNotANumber:
         (["0.5", "0.25"], "'0.5'"),
         ([[0.5, 0.25], [1 + 1j, 0.5]], re.escape("(1+1j)")),
         (np.array([0.5, 0.25], dtype=complex), re.escape("(0.5+0j)")),
+        # an object array converts entry by entry, and a Fraction is a real number
+        (np.array([Fraction(1, 2), "0.5"], dtype=object), "'0.5'"),
     ])
     def test_array_reports_one_entry(self, values, got):
         with pytest.raises(ValueError, match=rf"^offset r must be finite and >= 0, got {got}$"):

@@ -353,11 +353,12 @@ class TestCurve:
             "curve", "--model", model, "--steps", str(steps), "--aw-min", "0.01",
             "--aw-max", "30", "--sigma-b2", repr(s2)])
         seen = []
-        rows = list(_sweep(args, lambda m2, m1: seen.append((m2, m1)) or [(m2, m1)]))
+        rows = list(_sweep(args, lambda *moments: seen.append(moments) or [moments]))
         grid = np.linspace(0.01, 30.0, steps)
-        m2, m1, _ = _moments(grid, s2, model)
-        assert [(a.tobytes(), b.tobytes()) for a, b in seen] == [(m2.tobytes(), m1.tobytes())]
-        assert rows == np.column_stack([grid, np.full(steps, s2), m2, m1]).tolist()
+        m2, m1, var, _ = _moments(grid, s2, model)
+        assert [tuple(x.tobytes() for x in block) for block in seen] == [
+            (m2.tobytes(), m1.tobytes(), var.tobytes())]
+        assert rows == np.column_stack([grid, np.full(steps, s2), m2, m1, var]).tolist()
 
     def test_long_exact_sweep_in_bounded_memory(self, capsys):
         # one whole rule call over 1000 a/W values peaks at about 122 MB

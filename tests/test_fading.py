@@ -189,7 +189,7 @@ class TestAnalyticMoments:
         for s2 in (1e-4, 1e-2, 0.3, 2.0):
             grid = np.geomspace(0.05, 50.0, 6)
             got = zip(grid, *_moments(grid, s2, model))
-            for aw, got_mean, got_sqrt_mean, _ in got:
+            for aw, got_mean, got_sqrt_mean, _, _ in got:
                 eta_mean, sqrt_eta_mean = fading_moments(aw, s2, model)
                 assert got_mean == pytest.approx(
                     eta_mean, abs=ORACLE_TRAPEZOID_TOL)
@@ -204,7 +204,7 @@ class TestAnalyticMoments:
         # <sqrt(eta)> into the wide panels at a/W = 200
         grid = np.array([100.0, 200.0, 500.0])
         got = zip(grid, *_moments(grid, s2, "exact"))
-        for aw, got_mean, got_sqrt_mean, _ in got:
+        for aw, got_mean, got_sqrt_mean, _, _ in got:
             eta_mean, sqrt_eta_mean = fading_moments(aw, s2, "exact")
             assert got_mean == pytest.approx(
                 eta_mean, abs=ORACLE_TRAPEZOID_TOL)
@@ -220,8 +220,7 @@ class TestAnalyticMoments:
         per_geometry = [analytic_moments(BeamGeometry(aw, s2), model=model)
                         for aw in grid]
         rows = zip(*(x.tolist() for x in _moments(grid, s2, model)))
-        assert [FadingStats(m2, m1, m2 - m1**2, e)
-                for m2, m1, e in rows] == per_geometry
+        assert [FadingStats(*row) for row in rows] == per_geometry
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
     @pytest.mark.parametrize("aw", [0.3, 1.0, 3.0])

@@ -518,9 +518,11 @@ class TestHistogram:
             Histogram(bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([[1, 1]]))
 
     @pytest.mark.parametrize("counts, got", [
-        ([10**400, 1], str(10**400)), (["1", "1"], "'1'"), ([1, 1.5], "1.5")])
+        ([10**400, 1], str(10**400)), (["1", "1"], "'1'"), ([1, 1.5], "1.5"),
+        ([2**63, 1], re.escape(repr(2.0**63))), ([2**64, 1], re.escape(repr(2.0**64)))])
     def test_counts_named(self, counts, got):
-        # numpy has no rint for a Python int, nor a comparison of text with 0
+        # numpy has no rint for a Python int, nor a comparison of text with 0;
+        # the cast to int would wrap 2**63 to a negative count and refuse 2**64
         with pytest.raises(ValueError, match=rf"^counts .*got {got}$"):
             Histogram(bin_edges=[0.0, 0.5, 1.0], counts=counts)
 

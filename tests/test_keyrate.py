@@ -18,6 +18,7 @@ from beamfade.keyrate import (
     ProtocolParams,
     _log_negativity,
     _optimize,
+    _rates,
     holevo_bound,
     key_rate,
     mutual_information,
@@ -75,7 +76,7 @@ class TestProtocolParams:
         worst = FadingStats(eta_mean=0.5, sqrt_eta_mean=0.5, var_sqrt_eta=0.25,
                             eta_max=1.0)
         assert math.isfinite(key_rate(ProtocolParams(v=V_MAX, epsilon=10.0), worst))
-        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, 10.0))
+        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, 0.25, 10.0))
         for v in (1.01 * V_MAX, 1e150, math.inf):
             with pytest.raises(ValueError, match=r"^v .*1e\+100"):
                 ProtocolParams(v=v)
@@ -88,7 +89,7 @@ class TestProtocolParams:
         params = ProtocolParams(v=V_MAX, epsilon=EPSILON_MAX)
         assert all(math.isfinite(f(params, worst))
                    for f in (mutual_information, holevo_bound, key_rate))
-        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, EPSILON_MAX))
+        assert math.isfinite(_log_negativity(V_MAX, 0.5, 0.5, 0.25, EPSILON_MAX))
         for epsilon in (1.01 * EPSILON_MAX, 1e300, math.inf):
             with pytest.raises(ValueError, match=r"^epsilon .*1e\+100"):
                 ProtocolParams(v=7.0, epsilon=epsilon)
@@ -268,8 +269,8 @@ class TestOptimizeModulation:
         cases = ([(stats, 0.01, 0.97) for stats in STATS_GRID]
                  + [(LOSSLESS, 0.0, 1.0), (hopeless, 0.3, 0.5)])
         stats, eps, beta = zip(*cases)
-        found = _optimize([s.eta_mean for s in stats],
-                          [s.sqrt_eta_mean for s in stats], eps, beta)
+        found = _optimize([s.eta_mean for s in stats], [s.sqrt_eta_mean for s in stats],
+                          [s.var_sqrt_eta for s in stats], eps, beta)
         flags = set()
         for i, case in enumerate(cases):
             alone = optimize_modulation(*case)
@@ -307,7 +308,7 @@ class TestKernelProperties:
         p = ProtocolParams(v=v, epsilon=eps, beta=beta)
         i_ab, chi, kr = (mutual_information(p, stats), holevo_bound(p, stats),
                          key_rate(p, stats))
-        ln = _log_negativity(v, m, s, eps)
+        ln = _log_negativity(v, m, s, stats.var_sqrt_eta, eps)
         assert kr <= beta * i_ab + 1e-12
         assert i_ab >= 0.0 and chi >= -1e-12 and ln >= 0.0
         # the dense float64 matrix cannot hold a near pure-loss state at large
@@ -316,12 +317,25 @@ class TestKernelProperties:
         assert chi == pytest.approx(holevo_decimal(v, eps, m, s), abs=1e-10)
         assert ln == pytest.approx(log_negativity_dense(v, eps, m, s), abs=1e-9)
 
+    @pytest.mark.parametrize("var", [0.0, 0.05, 0.1])
+    def test_kernels_use_the_given_variance(self, var):
+        # <eta> - <sqrt(eta)>^2 is 0.14 here; the kernels must use the var they
+        # are given, as `fading` formed it, not form their own
+        v, m, s, eps = 7.0, 0.5, 0.6, 0.01
+        t = s * s
+        want_i_ab = math.log1p(t * (v - 1) / (1 + var * (v - 1) + t * eps)) / (2 * math.log(2))
+        assert _rates(v, m, s, var, eps, 0.97)[0] == pytest.approx(want_i_ab, rel=1e-14)
+        b, c = 1 + m * (v - 1) + t * eps, math.sqrt(t * (v * v - 1))
+        d = v * (1 - m) + v * v * var + t * (1 + v * eps)
+        nu = 2 * d / (v + b + math.hypot(v - b, 2 * c))
+        assert _log_negativity(v, m, s, var, eps) == pytest.approx(-math.log2(nu), rel=1e-14)
+
     @pytest.mark.parametrize("s2", [0.0, 0.3])
     def test_log_negativity_is_never_negative_zero(self, s2):
         # the vacuum (V = 1) has nu~ = 1 exactly on some rows, where -log2
         # gives -0; the kernel returns +0 there
         from beamfade.fading import _moments
-        m2, m1, _ = _moments(np.linspace(0.5, 2.0, 31), s2, "approx")
+        m2, m1, var, _ = _moments(np.linspace(0.5, 2.0, 31), s2, "approx")
         for v in (1.0, 1.0 + 1e-12, 7.0):
-            ln = _log_negativity(v, m2, m1, 0.0)
+            ln = _log_negativity(v, m2, m1, var, 0.0)
             assert not np.signbit(ln).any()
