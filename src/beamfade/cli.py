@@ -26,6 +26,8 @@ from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 # a/W values per moment-rule call, so a sweep of any length holds one block's nodes
 _SWEEP_BLOCK = 128
+# a/W values per kernel pass of whole sigma_b2 groups, so a long sweep holds one group
+_PASS_ROWS = 1024
 
 
 def _fmt(x) -> str:
@@ -34,11 +36,15 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _csv(header, rows):
-    """The CSV text of `header` and `rows`, as one text piece."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return ("\n".join(lines) + "\n",)
+def _csv(header, blocks):
+    """The CSV text of `header` and of `blocks`, lists of rows, as one text piece.
+
+    A block takes one % of a row template, "%.12g" per float (the text of
+    `_fmt`) and "%d" per int ("%.12g" % 10**12 is 1e+12)."""
+    def text(rows):
+        row = ",".join("%d" if isinstance(x, int) else "%.12g" for x in rows[0]) + "\n"
+        return row * len(rows) % tuple(chain.from_iterable(rows))
+    return ("".join(chain([",".join(header) + "\n"], map(text, blocks))),)
 
 
 def _checked(convert, ok, rule):
@@ -150,21 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep(args, columns):
-    """Yield the rows (a/W, sigma_b2, *columns) of a sweep over the a/W grid.
+    """Yield the rows (a/W, sigma_b2, *columns) of a sweep, one list per kernel pass.
 
     The moment rule runs once per sigma_b2 and block of _SWEEP_BLOCK a/W
-    values; `columns` maps its <eta>, <sqrt(eta)> and Var(sqrt(eta)) >= 0 over
-    the grid to blocks of columns, arrays over the grid or scalars.  The rows
-    run over sigma_b2, then block of columns, then a/W.
+    values.  Whole sigma_b2 groups of up to _PASS_ROWS a/W values in all then
+    make one pass: `columns` maps their <eta>, <sqrt(eta)> and
+    Var(sqrt(eta)) >= 0 to blocks of columns, arrays over the pass or
+    scalars.  The rows run over sigma_b2, then block of columns, then a/W.
     """
     if not args.aw_max > args.aw_min:
         raise ValueError("aw_max must exceed aw_min")
     grid = np.linspace(args.aw_min, args.aw_max, args.steps)
-    for s2 in args.sigma_b2 or (0.3,):
-        moments = (_moments(grid[i:i + _SWEEP_BLOCK], s2, args.model)[:3]
-                   for i in range(0, grid.size, _SWEEP_BLOCK))
-        for block in columns(*map(np.concatenate, zip(*moments))):
-            yield from np.column_stack(np.broadcast_arrays(grid, s2, *block)).tolist()
+    sigmas, per_pass = args.sigma_b2 or (0.3,), max(_PASS_ROWS // grid.size, 1)
+    for s2 in (sigmas[i:i + per_pass] for i in range(0, len(sigmas), per_pass)):
+        moments = (_moments(grid[i:i + _SWEEP_BLOCK], s, args.model)[:3]
+                   for s in s2 for i in range(0, grid.size, _SWEEP_BLOCK))
+        keys = np.tile(grid, len(s2)), np.repeat(s2, grid.size)
+        blocks = [np.column_stack(np.broadcast_arrays(*keys, *block))
+                  for block in columns(*map(np.concatenate, zip(*moments)))]
+        yield np.vstack([b[i:i + grid.size] for i in range(0, keys[0].size, grid.size)
+                         for b in blocks]).tolist()
 
 
 def cmd_stats(args):
@@ -172,8 +183,8 @@ def cmd_stats(args):
     with open(args.input, "rb") as fh:
         n, stats = _empirical(_series_pieces(fh, args.reference))
     header = ("eta_mean", "sqrt_eta_mean", "var_sqrt_eta", "eta_max", "n")
-    return _csv(header, [(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
-                          stats.eta_max, n)])
+    return _csv(header, [[(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta,
+                           stats.eta_max, n)]])
 
 
 def cmd_curve(args):
@@ -183,9 +194,9 @@ def cmd_curve(args):
 
 def cmd_ln_curve(args):
     header = ("a_over_W", "sigma_b2", "V", "LN")
-    return _csv(header, _sweep(args, lambda *moments: [
-        (v, _log_negativity(v, *moments, args.excess_noise))
-        for v in args.ln0 or args.variance or (7.0,)]))
+    v = np.array(args.ln0 or args.variance or (7.0,))[:, None]
+    return _csv(header, _sweep(args, lambda *moments: zip(
+        v, _log_negativity(v, *moments, args.excess_noise))))
 
 
 def cmd_kr_curve(args):
@@ -212,8 +223,8 @@ def cmd_fit(args):
     if result.boundary:
         print("warning: fit stopped on the search-domain boundary", file=sys.stderr)
     header = ("sigma_b2", "a_over_W", "gof", "n")
-    return _csv(header, [(result.geometry.sigma_b2, result.geometry.a_over_W,
-                          result.gof, facts[0])])
+    return _csv(header, [[(result.geometry.sigma_b2, result.geometry.a_over_W,
+                           result.gof, facts[0])]])
 
 
 def cmd_sample(args):

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamfade
-from beamfade import ingest
+from beamfade import ingest, keyrate
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
-from beamfade.cli import _SWEEP_BLOCK, _fmt, _sweep, build_parser, cmd_sample, main
+from beamfade.cli import (
+    _PASS_ROWS, _SWEEP_BLOCK, _csv, _fmt, _sweep, build_parser, cmd_sample, main)
 from beamfade.fading import _moments, analytic_moments, empirical_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
@@ -353,7 +354,7 @@ class TestCurve:
             "curve", "--model", model, "--steps", str(steps), "--aw-min", "0.01",
             "--aw-max", "30", "--sigma-b2", repr(s2)])
         seen = []
-        rows = list(_sweep(args, lambda *moments: seen.append(moments) or [moments]))
+        rows = sum(_sweep(args, lambda *moments: seen.append(moments) or [moments]), [])
         grid = np.linspace(0.01, 30.0, steps)
         m2, m1, var, _ = _moments(grid, s2, model)
         assert [tuple(x.tobytes() for x in block) for block in seen] == [
@@ -371,6 +372,21 @@ class TestCurve:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1001
         assert peak <= 40e6
+
+    def test_long_optimized_sweep_in_bounded_memory(self, capsys):
+        # a pass holds whole sigma_b2 groups of at most _PASS_ROWS a/W values,
+        # so each 1000-value group here is a pass of its own (about 11 MB); one
+        # pass over all four peaks at about 25 MB
+        tracemalloc.start()
+        try:
+            code = main(["kr-curve", "--optimize", "--steps", "1000",
+                         *(a for s2 in ("0.1", "0.2", "0.3", "0.4") for a in ("--sigma-b2", s2))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4001
+        assert peak <= 16e6
 
 
 class TestLnCurve:
@@ -395,7 +411,14 @@ class TestLnCurve:
             calls.append((tuple(a_over_W), sigma_b2, model))
             return _moments(a_over_W, sigma_b2, model)
 
+        passes = []
+
+        def counted_ln(v, *rest):
+            passes.append(np.shape(v))
+            return keyrate._log_negativity(v, *rest)
+
         monkeypatch.setattr("beamfade.cli._moments", counted)
+        monkeypatch.setattr("beamfade.cli._log_negativity", counted_ln)
         code, out, _ = run(capsys, "ln-curve", "--steps", "4",
                            "--sigma-b2", "0.2", "--sigma-b2", "0.4",
                            "--variance", "2", "--variance", "7",
@@ -407,6 +430,8 @@ class TestLnCurve:
         assert [(s2, model) for _, s2, model in calls] == [(0.2, "approx"),
                                                            (0.4, "approx")]
         assert all(len(set(aws)) == 4 for aws, _, _ in calls)
+        # one kernel pass, with the three V as a column against the 8 pairs
+        assert passes == [(3, 1)]
         # rows run over sigma_b2, then V, then a/W
         assert [(r[1], r[2]) for r in rows[::4]] == [
             (s2, v) for s2 in ("0.2", "0.4") for v in ("2", "7", "12")]
@@ -508,6 +533,27 @@ class TestKrCurve:
         assert float(rows[0][2]) != 7.0
 
 
+    def test_one_kernel_pass(self, capsys, monkeypatch):
+        moments, passes = [], []
+
+        def counted(a_over_W, sigma_b2, model):
+            moments.append(sigma_b2)
+            return _moments(a_over_W, sigma_b2, model)
+
+        def counted_optimize(*args):
+            passes.append(args[0].shape)
+            return keyrate._optimize(*args)
+
+        monkeypatch.setattr("beamfade.cli._moments", counted)
+        monkeypatch.setattr("beamfade.cli._optimize", counted_optimize)
+        code, out, _ = run(capsys, "kr-curve", "--optimize", "--steps", "31",
+                           "--sigma-b2", "0.1", "--sigma-b2", "0.2", "--sigma-b2", "0.3")
+        assert code == 0
+        assert len(rows_of(out)[1]) == 3 * 31
+        # the rule once per sigma_b2 block, the optimizer once over all 93 points
+        assert moments == [0.1, 0.2, 0.3]
+        assert passes == [(3 * 31,)]
+
     def test_large_variance_is_finite_and_bounded(self, capsys):
         code, out, err = run(capsys, "kr-curve", "--variance", "1e8",
                              "--steps", "3")
@@ -541,6 +587,52 @@ class TestKernelPath:
         # the counter does see a construction
         tmsv(2.0)
         assert len(built) == 1
+
+
+class TestJointSweep:
+    """A sweep over several sigma_b2 prints the rows of each one alone."""
+
+    STEPS = 2 * _SWEEP_BLOCK + 3
+
+    @pytest.mark.parametrize("command", [
+        ("curve", "--model", "exact"),
+        ("ln-curve", "--variance", "1", "--variance", "2", "--variance", "7"),
+        ("ln-curve", "--ln0", "1", "--ln0", "3"),
+        ("kr-curve", "--optimize"),
+        ("kr-curve", "--clamp"),
+    ], ids=" ".join)
+    # three groups share one kernel pass; the last case's groups need two
+    @pytest.mark.parametrize("groups", [3, _PASS_ROWS // STEPS + 1])
+    def test_joint_sweep_is_split_sweeps(self, capsys, command, groups):
+        assert (groups * self.STEPS > _PASS_ROWS) == (groups > 3)
+        sweep = (*command, "--steps", str(self.STEPS), "--aw-min", "0.01", "--aw-max", "30")
+        sigmas = [repr(0.05 * k * k) for k in range(groups)]
+        code, joint, _ = run(capsys, *sweep, *(a for s2 in sigmas for a in ("--sigma-b2", s2)))
+        assert code == 0
+        split = [run(capsys, *sweep, "--sigma-b2", s2)[1] for s2 in sigmas]
+        assert joint == split[0] + "".join(out.split("\n", 1)[1] for out in split[1:])
+
+
+class TestCsv:
+
+    @given(st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=4)))
+    @example([[math.nan, math.inf, -math.inf, -0.0, 0.0]])
+    @example([[5e-324, -2.2250738585072014e-308, 1e-308 / 3]])
+    # %g turns to an exponent below 1e-4 and, at 12 digits, from 1e12 up
+    @example([[1e-4, 9.99999999999949e-05, 9.9999999999995e-05, 1e-5, -1e-5]])
+    @example([[1e12, 999999999999.4, 999999999999.5, 1e12 - 1, -1e12]])
+    def test_row_template_is_fmt(self, rows):
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert _csv(("h",), [rows]) == ("h\n" + text,)
+
+    def test_integer_count_prints_whole(self, capsys, monkeypatch):
+        # "%.12g" % 10**12 would print 1e+12
+        monkeypatch.setattr("beamfade.cli._empirical",
+                            lambda pieces: (10**12, empirical_moments([0.25, 0.5])))
+        code, out, _ = run(capsys, "stats", os.devnull)
+        assert code == 0
+        assert out.splitlines()[1].endswith(",0.5,1000000000000")
 
 
 class TestSample:
