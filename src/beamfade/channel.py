@@ -50,7 +50,7 @@ def _require(name, x, ok, rule):
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Channel configuration: aperture-to-beam-size ratio and wandering strength.
+    """Channel configuration, stored as floats: aperture-to-beam-size ratio and wandering strength.
 
     Attributes
     ----------
@@ -64,8 +64,9 @@ class BeamGeometry:
     sigma_b2: float
 
     def __post_init__(self):
-        _require("a_over_W", self.a_over_W, lambda a: a > 0, "> 0")
-        _require("sigma_b2", self.sigma_b2, lambda s: s >= 0, ">= 0")
+        for name, ok, rule in (("a_over_W", lambda a: a > 0, "> 0"),
+                               ("sigma_b2", lambda s: s >= 0, ">= 0")):
+            object.__setattr__(self, name, float(_require(name, getattr(self, name), ok, rule)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class WeibullParams:
 
     T follows T(r) = t0 * exp(-(1/2) * (r/scale)**lam) for a beam-center
     offset r, where t0 is the maximum transmission coefficient, lam the shape
-    and scale the scale parameter (aperture-radius units).
+    and scale the scale parameter (aperture-radius units), each stored as a float.
     """
 
     t0: float
@@ -82,9 +83,10 @@ class WeibullParams:
     scale: float
 
     def __post_init__(self):
-        _require("t0", self.t0, lambda t: 0 < t <= 1, "in (0, 1]")
-        _require("lam", self.lam, lambda lam: lam > 0, "> 0")
-        _require("scale", self.scale, lambda s: s > 0, "> 0")
+        for name, ok, rule in (("t0", lambda t: 0 < t <= 1, "in (0, 1]"),
+                               ("lam", lambda lam: lam > 0, "> 0"),
+                               ("scale", lambda s: s > 0, "> 0")):
+            object.__setattr__(self, name, float(_require(name, getattr(self, name), ok, rule)))
 
 
 def max_transmission_coefficient(a_over_W):
@@ -360,8 +362,7 @@ def _rim(k):
 
 
 def _weibull(a_over_W):
-    """(t0, lam, scale) of `weibull_params`, elementwise over a/W checked by the caller."""
-    a_over_W = np.asarray(a_over_W, dtype=float)
+    """(t0, lam, scale) of `weibull_params` over a float array of a/W that the caller checked."""
     with np.errstate(over="ignore"):  # near a/W ~ 6.7e153, k and 8 k
         k = 4.0 * a_over_W * a_over_W
         eta1, slope, gap = _rim(k)
@@ -395,7 +396,7 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     and above about 6.7e153, where those sums leave the float range.
     """
     a_over_W = _require("a_over_W", a_over_W, lambda a: a > 0, "> 0")
-    return WeibullParams(*map(float, _weibull(a_over_W)))
+    return WeibullParams(*_weibull(a_over_W))
 
 
 def eta_approx(r, params: WeibullParams):
@@ -449,7 +450,7 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     float or ndarray
         Density per unit T, >= 0.
     """
-    _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0")
+    sigma_b2 = float(_require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0"))
     t = _require("t", t, lambda t: True, "real")
     u, r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
     # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where T <= 0 or T >= t0,
@@ -473,7 +474,7 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     for t >= t0.  Closed form: integrating `pdt_density` reproduces it, and
     `ingest.fit_geometry` evaluates the same kernel as its model CDF.
     """
-    _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0")
+    sigma_b2 = float(_require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0"))
     t = _require("t", t, lambda t: True, "real")
     out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[2]
     return out if out.ndim else float(out)

@@ -10,7 +10,7 @@ excess noise and the equivalent fixed channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,7 +44,7 @@ _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 @dataclass(frozen=True)
 class FadingStats:
-    """Moment triple of a fading channel plus its maximum transmittance.
+    """Moment triple of a fading channel plus its maximum transmittance, stored as floats.
 
     Attributes
     ----------
@@ -69,13 +69,14 @@ class FadingStats:
         # bounded before it is squared; above 1 + 2 eps it fails the checks below
         t = _require("sqrt_eta_mean", self.sqrt_eta_mean, lambda t: 0.0 <= t <= 1.0 + 2 * eps,
                      "in [0, 1]")
-        _require("eta_mean", self.eta_mean, lambda e: e - t * t >= -eps and e <= top + eps,
-                 "in [<sqrt(eta)>^2, eta_max]")
-        identity = self.eta_mean - self.sqrt_eta_mean * self.sqrt_eta_mean
+        e = _require("eta_mean", self.eta_mean, lambda e: e - t * t >= -eps and e <= top + eps,
+                     "in [<sqrt(eta)>^2, eta_max]")
+        identity = e - t * t
         _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
                  f"<eta> - <sqrt(eta)>^2 = {identity}")
         # roundoff can leave a tiny negative variance for a constant channel
-        object.__setattr__(self, "var_sqrt_eta", max(identity, 0.0))
+        for f, x in zip(fields(self), (e, t, max(identity, 0.0), top)):
+            object.__setattr__(self, f.name, float(x))
 
 
 def _panel_edges(lo, hi):
@@ -98,8 +99,8 @@ def _moments(a_over_W, sigma_b2: float, model: str):
     """Moments of a 1-D array of a/W at one sigma_b2 >= 0, by the fixed rule.
 
     t0, the Weibull matching and the rule (see the constants above) each run
-    over the whole a/W array, so a sweep costs one call per sigma_b2;
-    `analytic_moments` is the call for one geometry.  Returns FadingStats'
+    over the whole a/W array; the CLI calls it once per sigma_b2 and block of
+    `cli._SWEEP_BLOCK` a/W, `analytic_moments` once.  Returns FadingStats'
     fields as arrays over a/W.  Var(sqrt(eta)) is formed after the clamps to
     <sqrt(eta)>^2 <= <eta> <= eta_max, so it is >= 0.  The exact <eta> is in
     closed form.  Raises QuadratureError naming the first a/W at which the
@@ -173,8 +174,8 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     """
     if model not in ("approx", "exact"):
         raise ValueError(f"model must be 'approx' or 'exact', got {model!r}")
-    return FadingStats(*(x.item() for x in _moments(np.array([geometry.a_over_W]),
-                                                    geometry.sigma_b2, model)))
+    return FadingStats(*np.concatenate(_moments(np.array([geometry.a_over_W]),
+                                                geometry.sigma_b2, model)))
 
 
 def empirical_moments(samples) -> FadingStats:
@@ -240,7 +241,7 @@ def fading_excess_noise(stats: FadingStats, v: float) -> float:
     V is the quadrature variance of the state entering the channel, in
     shot-noise units; the vacuum (V = 1) picks up no fading noise.
     """
-    _require("v (quadrature variance)", v, lambda v: v >= 1.0, ">= 1 SNU")
+    v = float(_require("v (quadrature variance)", v, lambda v: v >= 1.0, ">= 1 SNU"))
     return stats.var_sqrt_eta * (v - 1.0)
 
 
@@ -253,6 +254,6 @@ def effective_channel(stats: FadingStats, v: float, epsilon: float) -> tuple[flo
     excess noise referred to the channel input.
     """
     noise = fading_excess_noise(stats, v)
-    _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0")
+    epsilon = float(_require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0"))
     t_eff = stats.sqrt_eta_mean**2
     return t_eff, noise + t_eff * epsilon

@@ -91,7 +91,8 @@ def tmsv(v: float) -> CovMat2:
     A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.  V must
     lie in [1, V_MAX], the state variances the key-rate kernels accept.
     """
-    _require("v (quadrature variance)", v, lambda v: 1.0 <= v <= V_MAX, f"in [1, {V_MAX:g}] SNU")
+    v = float(_require("v (quadrature variance)", v, lambda v: 1.0 <= v <= V_MAX,
+                       f"in [1, {V_MAX:g}] SNU"))
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))
@@ -109,7 +110,7 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     + <sqrt(eta)>^2 epsilon on the diagonal; correlations scale with
     <sqrt(eta)>; mode 1 is untouched.
     """
-    _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0")
+    epsilon = float(_require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0"))
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c
@@ -149,8 +150,8 @@ def entropy_g(nu: float) -> float:
     sums non-negative terms and so stays finite and accurate up to 1e308.
     nu down to 1 - 1e-9 (a pure mode, up to rounding) gives 0.
     """
-    _require("nu (symplectic eigenvalue)", nu, lambda nu: nu >= 1.0 - _EIG_TOL, ">= 1")
-    return float(_entropy(nu))
+    return float(_entropy(_require("nu (symplectic eigenvalue)", nu,
+                                   lambda nu: nu >= 1.0 - _EIG_TOL, ">= 1")))
 
 
 def von_neumann_entropy(cm: CovMat2) -> float:

@@ -137,13 +137,11 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
         or an empty stream; the message names the offending line.
     """
     if reference is not None:
-        try:  # numpy's errors for a str, complex or array reference name no field
-            value = float(reference) if isinstance(reference, numbers.Real) else math.nan
-        except OverflowError:  # an int or a fraction beyond float's range
-            value = math.inf
-        if not 0 < value < math.inf:
-            raise SeriesFormatError(f"reference must be positive, got {reference}")
-        reference = value
+        try:  # one number; a Python float, as `_first_fault` divides by it
+            reference = _require("reference", reference, lambda r: (r > 0) & (r.ndim == 0),
+                                 "positive").item()
+        except ValueError:
+            raise SeriesFormatError(f"reference must be positive, got {reference}") from None
     return TransmittanceSeries(np.concatenate(list(_series_pieces(stream, reference))),
                                source_label=label)
 
@@ -335,9 +333,7 @@ def _fit(n, counts, lo, hi) -> FitResult:
         step[live[~lower]] *= 0.5
         live = live[step[live] > 1e-9]
     best = int(f.argmin())
-    sigma_b2, a_over_W = float(s[best]), float(a[best])
-    on_edge = any(
-        abs(v - lo) < 1e-9 or abs(v - hi) < 1e-9
-        for v, (lo, hi) in zip((sigma_b2, a_over_W), FIT_BOUNDS))
-    return FitResult(BeamGeometry(a_over_W=a_over_W, sigma_b2=sigma_b2),
-                     gof=float(f[best]), boundary=on_edge)
+    geometry = BeamGeometry(a_over_W=a[best], sigma_b2=s[best])
+    on_edge = any(abs(v - lo) < 1e-9 or abs(v - hi) < 1e-9
+                  for v, (lo, hi) in zip((geometry.sigma_b2, geometry.a_over_W), FIT_BOUNDS))
+    return FitResult(geometry, gof=float(f[best]), boundary=on_edge)

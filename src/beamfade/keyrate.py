@@ -19,7 +19,7 @@ faded state; the scalar functions below wrap them for one point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,14 +41,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_noise_and_efficiency(epsilon, beta):
-    _require("epsilon (excess noise)", epsilon, lambda e: 0.0 <= e <= EPSILON_MAX,
-             f"in [0, {EPSILON_MAX:g}] SNU")
-    _require("beta", beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]")
+    return (_require("epsilon (excess noise)", epsilon, lambda e: 0.0 <= e <= EPSILON_MAX,
+                     f"in [0, {EPSILON_MAX:g}] SNU"),
+            _require("beta", beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]"))
 
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Coherent-state protocol knobs.
+    """Coherent-state protocol knobs, stored as floats.
 
     Attributes
     ----------
@@ -67,9 +67,10 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        _require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
-                 f"in [1, {V_MAX:g}] SNU")
-        _check_noise_and_efficiency(self.epsilon, self.beta)
+        v = _require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
+                     f"in [1, {V_MAX:g}] SNU")
+        for f, x in zip(fields(self), (v, *_check_noise_and_efficiency(self.epsilon, self.beta))):
+            object.__setattr__(self, f.name, float(x))
 
 
 def _entropy(nu):
@@ -249,6 +250,6 @@ def optimize_modulation(stats: FadingStats, epsilon: float,
     |dV|/V < 1e-4.
     Deterministic: identical inputs give identical results.
     """
-    _check_noise_and_efficiency(epsilon, beta)
+    epsilon, beta = _check_noise_and_efficiency(epsilon, beta)
     found = _optimize(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta, epsilon, beta)
     return ModulationOptimum(*(x[0].item() for x in found))

@@ -31,10 +31,22 @@ from beamfade.channel import (
     sample_transmittance,
     weibull_params,
 )
-from beamfade.fading import FadingStats, effective_channel, empirical_moments, fading_excess_noise
-from beamfade.gaussian import CovMat2, entropy_g, tmsv
+from beamfade.fading import (
+    FadingStats,
+    analytic_moments,
+    effective_channel,
+    empirical_moments,
+    fading_excess_noise,
+)
+from beamfade.gaussian import CovMat2, apply_fading_channel, entropy_g, tmsv
 from beamfade.ingest import Histogram, TransmittanceSeries, histogram, parse_series
-from beamfade.keyrate import ProtocolParams
+from beamfade.keyrate import (
+    ProtocolParams,
+    holevo_bound,
+    key_rate,
+    mutual_information,
+    optimize_modulation,
+)
 
 from oracles import (
     eta_disc_2d,
@@ -896,3 +908,112 @@ class TestNotANumber:
         # every entry of an empty array passes; the integer test is on the whole value
         with pytest.raises(ValueError, match=r"an integer >= \d, got (\[\]|\(\))$"):
             call()
+
+
+def numbers_in(lo, hi):
+    """Numbers in [lo, hi] as a bool, an np.int64, an np.float16, an np.float32 or
+    a Fraction: the real numbers that are not float64 but convert to one.  [lo, hi]
+    must hold 0 or 1, so that every form can be drawn."""
+    return st.one_of(
+        st.booleans().filter(lambda b: lo <= b <= hi),
+        st.integers(math.ceil(lo), math.floor(hi)).map(np.int64),
+        *(st.floats(lo, min(hi, 6e4)).map(t).filter(lambda x: lo <= float(x) <= hi)
+          for t in (np.float16, np.float32)),
+        st.floats(lo, hi).map(Fraction))
+
+
+MOMENTS = analytic_moments(BeamGeometry(1.0, 0.3))
+WEIBULL = weibull_params(1.0)
+
+# calls of one public number x, each with a range of x that it accepts
+ONE_NUMBER = {
+    "analytic_moments-approx-a_over_W": (lambda x: analytic_moments(BeamGeometry(x, 0.3)), 0.05, 20),
+    "analytic_moments-approx-sigma_b2": (lambda x: analytic_moments(BeamGeometry(1.0, x)), 0, 2),
+    "analytic_moments-exact-a_over_W": (
+        lambda x: analytic_moments(BeamGeometry(x, 0.3), "exact"), 0.05, 20),
+    "analytic_moments-exact-sigma_b2": (
+        lambda x: analytic_moments(BeamGeometry(1.0, x), "exact"), 0, 2),
+    "key_rate-v": (lambda x: key_rate(ProtocolParams(x), MOMENTS), 1, 1e3),
+    "key_rate-epsilon": (lambda x: key_rate(ProtocolParams(7.0, x), MOMENTS), 0, 0.2),
+    "key_rate-beta": (lambda x: key_rate(ProtocolParams(7.0, 0.01, x), MOMENTS), 0.5, 1),
+    "holevo_bound-v": (lambda x: holevo_bound(ProtocolParams(x), MOMENTS), 1, 1e3),
+    "mutual_information-v": (lambda x: mutual_information(ProtocolParams(x), MOMENTS), 1, 1e3),
+    "optimize_modulation-epsilon": (lambda x: optimize_modulation(MOMENTS, x, 0.97), 0, 0.2),
+    "optimize_modulation-beta": (lambda x: optimize_modulation(MOMENTS, 0.01, x), 0.5, 1),
+    "fading_excess_noise": (lambda x: fading_excess_noise(MOMENTS, x), 1, 1e3),
+    "effective_channel-v": (lambda x: effective_channel(MOMENTS, x, 0.01), 1, 1e3),
+    "effective_channel-epsilon": (lambda x: effective_channel(MOMENTS, 7.0, x), 0, 0.2),
+    "apply_fading_channel": (lambda x: apply_fading_channel(tmsv(7.0), MOMENTS, x), 0, 0.2),
+    "tmsv": (tmsv, 1, 1e3),
+    "entropy_g": (entropy_g, 1, 1e6),
+    "pdt_density-sigma_b2": (lambda x: pdt_density(0.5, WEIBULL, x), 0.01, 2),
+    "pdt_cdf-sigma_b2": (lambda x: pdt_cdf(0.5, WEIBULL, x), 0.01, 2),
+}
+
+# calls that used to compute in the caller's dtype, or to fail
+ONE_NUMBER_ROWS = [
+    pytest.param("analytic_moments-exact-a_over_W", True, id="exact-bool"),
+    pytest.param("analytic_moments-exact-a_over_W", np.float32(1.0), id="exact-float32"),
+    pytest.param("analytic_moments-exact-a_over_W", Fraction(1, 2), id="exact-Fraction"),
+    pytest.param("key_rate-v", np.float32(7.0), id="key_rate-float32"),
+    pytest.param("key_rate-v", np.float16(7.0), id="key_rate-float16"),
+    pytest.param("entropy_g", np.float32(1.1), id="entropy_g-float32"),
+    pytest.param("apply_fading_channel", np.float32(0.01), id="apply_fading_channel-float32"),
+    pytest.param("fading_excess_noise", np.float32(7.0), id="fading_excess_noise-float32"),
+]
+
+
+def same_result(got, want):
+    """got and want are of one type and equal, a CovMat2 by its matrix's bits."""
+    if isinstance(want, CovMat2):
+        got, want = got.matrix.tobytes(), want.matrix.tobytes()
+    return type(got) is type(want) and got == want
+
+
+class TestOneValuePerNumber:
+    """A public number is converted to float64 once, by its check, and computed
+    with as that float: a bool, a numpy scalar of any width or a Fraction gives
+    exactly the result of its float."""
+
+    @pytest.mark.parametrize("name", ONE_NUMBER)
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_result_as_float(self, name, data):
+        call, lo, hi = ONE_NUMBER[name]
+        x = data.draw(numbers_in(lo, hi))
+        assert same_result(call(x), call(float(x)))
+
+    @pytest.mark.parametrize("name, x", ONE_NUMBER_ROWS)
+    def test_known_rows(self, name, x):
+        call = ONE_NUMBER[name][0]
+        assert same_result(call(x), call(float(x)))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(t0=st.floats(0.125, 1, width=32), lam=st.floats(0.5, 8, width=32),
+           scale=st.floats(0.25, 4, width=32), t=st.floats(0, 1))
+    @example(t0=float(np.float32(0.9)), lam=2.0, scale=1.0, t=0.7)
+    def test_float32_weibull_params(self, t0, lam, scale, t):
+        # float(np.float32(x)) is x for a float of width 32
+        wide, narrow = (WeibullParams(*map(form, (t0, lam, scale))) for form in (float, np.float32))
+        for call in (lambda p: eta_approx(t, p), lambda p: pdt_density(t, p, 0.3),
+                     lambda p: pdt_cdf(t, p, 0.3)):
+            assert same_result(call(narrow), call(wide))
+
+    def test_fields_are_floats(self):
+        for value in (BeamGeometry(True, np.float32(0.3)),
+                      WeibullParams(np.float16(0.5), np.int64(2), Fraction(3, 2)),
+                      ProtocolParams(np.int64(7), np.float32(0.01), Fraction(97, 100)),
+                      FadingStats(Fraction(1, 4), np.float32(0.5), np.float16(0), True),
+                      weibull_params(np.float32(1.0)), analytic_moments(BeamGeometry(1, 0))):
+            assert all(type(getattr(value, f)) is float for f in vars(value)), value
+
+    def test_fraction_takes_the_exact_model(self):
+        # the exact model's rule took the logarithm of an object row of Fractions
+        assert (analytic_moments(BeamGeometry(Fraction(1, 2), 0.3), "exact")
+                == analytic_moments(BeamGeometry(0.5, 0.3), "exact"))
+
+    def test_float32_state_variance_does_not_overflow(self):
+        # the kernels' V^3 products overflowed float32 at V = 1e30
+        v = np.float32(1e30)
+        got = key_rate(ProtocolParams(v), MOMENTS)
+        assert math.isfinite(got) and got == key_rate(ProtocolParams(float(v)), MOMENTS)

@@ -100,7 +100,7 @@ class TestParseSeries:
             parse_series("0.5\n", reference=reference)
 
     @pytest.mark.parametrize("reference", [
-        2.5, 5, np.float32(2.5), np.int64(5), Fraction(5, 2), 10**300])
+        2.5, 5, np.float32(2.5), np.int64(5), Fraction(5, 2), 10**300, np.array(2.5)])
     def test_real_references_divide_as_floats(self, reference):
         got = parse_series(b"0.5\n1\n", reference=reference).samples
         assert got.tobytes() == (np.array([0.5, 1.0]) / float(reference)).tobytes()
