@@ -91,66 +91,55 @@ def _add_sweep_flags(sub):
                      help="transmittance model for the moments")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone, with the same texts."""
     parser = argparse.ArgumentParser(
         prog="beamfade",
         description="Free-space fading channel curves, key rates, and fitting.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("stats", help="moments of a measured series")
-    p.set_defaults(run=cmd_stats)
-
-    p = commands.add_parser("curve", help="channel moments over an a/W sweep")
-    p.set_defaults(run=cmd_curve)
-    _add_sweep_flags(p)
-
-    p = commands.add_parser("ln-curve", help="log-negativity over an a/W sweep")
-    p.set_defaults(run=cmd_ln_curve)
-    _add_sweep_flags(p)
-    state = p.add_mutually_exclusive_group()
-    state.add_argument("--variance", type=_variance, action="append",
-                       help="state variance in SNU, repeatable (default 7)")
-    state.add_argument("--ln0", type=_ln0, action="append",
-                       help="initial entanglement instead of variance, repeatable")
-    p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
-                   help="channel excess noise in SNU (default 0.01)")
-
-    p = commands.add_parser("kr-curve", help="key-rate bound over an a/W sweep")
-    p.set_defaults(run=cmd_kr_curve)
-    _add_sweep_flags(p)
-    p.add_argument("--variance", type=_variance, default=7.0,
-                   help="modulation state variance in SNU (default 7)")
-    p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
-                   help="channel excess noise in SNU (default 0.01)")
-    p.add_argument("--beta", type=_beta, default=0.97,
-                   help="post-processing efficiency (default 0.97)")
-    p.add_argument("--optimize", action="store_true",
-                   help="optimize the modulation variance per grid point")
-    p.add_argument("--clamp", action="store_true",
-                   help="emit only the key rate clamped at zero")
-
-    p = commands.add_parser("fit", help="fit channel parameters to a series")
-    p.set_defaults(run=cmd_fit)
-
-    p = commands.add_parser("sample", help="generate synthetic samples")
-    p.set_defaults(run=cmd_sample)
-    p.add_argument("--aw", type=_positive, required=True,
-                   help="aperture-to-beam ratio")
-    p.add_argument("--sigma-b2", type=_non_negative, default=0.3,
-                   help="beam-center variance (default 0.3)")
-    p.add_argument("--samples", type=_count, default=100000,
-                   help="number of samples (default 100000)")
-    p.add_argument("--seed", type=_seed, default=1,
-                   help="random seed (default 1)")
-    p.add_argument("--model", choices=("approx", "exact"), default="approx",
-                   help="transmittance model (default approx)")
-
-    # stats and fit read a series; every command writes to --out, or to stdout
-    for name, p in commands.choices.items():
+    # the usage line, which an unrecognized argument prints, names every command
+    commands = parser.add_subparsers(dest="command", required=True, metavar=None if (
+        command is None) else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, run) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = commands.add_parser(name, help=text)
+        p.set_defaults(run=run)
         if name in ("stats", "fit"):
             p.add_argument("input", help="transmittance text file")
             p.add_argument("--reference", type=_positive,
                            help="divide raw values by this reference")
+        elif name == "sample":
+            p.add_argument("--aw", type=_positive, required=True,
+                           help="aperture-to-beam ratio")
+            p.add_argument("--sigma-b2", type=_non_negative, default=0.3,
+                           help="beam-center variance (default 0.3)")
+            p.add_argument("--samples", type=_count, default=100000,
+                           help="number of samples (default 100000)")
+            p.add_argument("--seed", type=_seed, default=1,
+                           help="random seed (default 1)")
+            p.add_argument("--model", choices=("approx", "exact"), default="approx",
+                           help="transmittance model (default approx)")
+        else:
+            _add_sweep_flags(p)
+        if name == "ln-curve":
+            state = p.add_mutually_exclusive_group()
+            state.add_argument("--variance", type=_variance, action="append",
+                               help="state variance in SNU, repeatable (default 7)")
+            state.add_argument("--ln0", type=_ln0, action="append",
+                               help="initial entanglement instead of variance, repeatable")
+            p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
+                           help="channel excess noise in SNU (default 0.01)")
+        elif name == "kr-curve":
+            p.add_argument("--variance", type=_variance, default=7.0,
+                           help="modulation state variance in SNU (default 7)")
+            p.add_argument("--excess-noise", type=_excess_noise, default=0.01,
+                           help="channel excess noise in SNU (default 0.01)")
+            p.add_argument("--beta", type=_beta, default=0.97,
+                           help="post-processing efficiency (default 0.97)")
+            p.add_argument("--optimize", action="store_true",
+                           help="optimize the modulation variance per grid point")
+            p.add_argument("--clamp", action="store_true",
+                           help="emit only the key rate clamped at zero")
         p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
@@ -239,8 +228,19 @@ def cmd_sample(args):
     return chain([header], ("%.17g\n" * eta.size % tuple(eta.tolist()) for eta in blocks))
 
 
+# each command's help and function, in the order that the usage lists them
+_COMMANDS = {"stats": ("moments of a measured series", cmd_stats),
+             "curve": ("channel moments over an a/W sweep", cmd_curve),
+             "ln-curve": ("log-negativity over an a/W sweep", cmd_ln_curve),
+             "kr-curve": ("key-rate bound over an a/W sweep", cmd_kr_curve),
+             "fit": ("fit channel parameters to a series", cmd_fit),
+             "sample": ("generate synthetic samples", cmd_sample)}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only a named command's parser is built; the full one lists and checks them
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         pieces = args.run(args)
         if args.out:

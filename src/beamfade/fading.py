@@ -26,17 +26,18 @@ from .channel import (
 # The moment rule: <T^n> is the integral of exp(-u) u T^n over s = ln u,
 # taken on [ln 1e-14, ln 60] (the mass e^-60 beyond is dropped) plus the mass
 # below u = 1e-14.  Every geometry gets 12-point Gauss-Legendre panels:
-# _WINDOW_PANELS of width 0.5/p on the window [s* + _WINDOW[0]/p,
+# _WINDOW_PANELS of width 1/p on the window [s* + _WINDOW[0]/p,
 # s* + _WINDOW[1]/p] around the rim, and _GENERAL_PANELS of width at most 1
 # on the rest, where p = max(lam/2, 1) and s* = ln(r*^2 / (2 sigma_b2)) with
 # r* the Weibull scale (approx) or the rim, 1 (exact).  Across the window
 # the Weibull factor exp(-exp(p (s - s*)) / 2) falls from 1 - 5e-14 to 0, and
 # the exact model's Gaussian tails on both sides of the rim fall below 1e-16;
-# outside it T^n varies on a scale of 1 in s or not at all.
+# outside it T^n varies on a scale of 1 in s or not at all.  Twice the window
+# panels move no <T^n> beyond rounding; half the general panels fail by 1e-2.
 _U_LO, _U_HI = 1e-14, 60.0
 _S_LO, _S_HI = math.log(_U_LO), math.log(_U_HI)
 _WINDOW = (-30.0, 16.0)
-_WINDOW_PANELS = 92
+_WINDOW_PANELS = 46
 _GENERAL_PANELS = math.ceil(_S_HI - _S_LO) + 1
 _GL_X, _GL_W = leggauss(12)
 _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
@@ -53,7 +54,7 @@ class FadingStats:
     sqrt_eta_mean : float
         Mean transmission coefficient <sqrt(eta)>.
     var_sqrt_eta : float
-        Var(sqrt(eta)) = <eta> - <sqrt(eta)>^2.
+        Var(sqrt(eta)) as given, clamped at 0, within 1e-9 of <eta> - <sqrt(eta)>^2.
     eta_max : float
         Largest attainable transmittance eta_0^2.
     """
@@ -72,10 +73,10 @@ class FadingStats:
         e = _require("eta_mean", self.eta_mean, lambda e: e - t * t >= -eps and e <= top + eps,
                      "in [<sqrt(eta)>^2, eta_max]")
         identity = e - t * t
-        _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
-                 f"<eta> - <sqrt(eta)>^2 = {identity}")
+        v = _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
+                     f"<eta> - <sqrt(eta)>^2 = {identity}")
         # roundoff can leave a tiny negative variance for a constant channel
-        for f, x in zip(fields(self), (e, t, max(identity, 0.0), top)):
+        for f, x in zip(fields(self), (e, t, max(0.0, v), top)):
             object.__setattr__(self, f.name, float(x))
 
 
@@ -101,13 +102,14 @@ def _moments(a_over_W, sigma_b2: float, model: str):
     t0, the Weibull matching and the rule (see the constants above) each run
     over the whole a/W array; the CLI calls it once per sigma_b2 and block of
     `cli._SWEEP_BLOCK` a/W, `analytic_moments` once.  Returns FadingStats'
-    fields as arrays over a/W.  Var(sqrt(eta)) is formed after the clamps to
-    <sqrt(eta)>^2 <= <eta> <= eta_max, so it is >= 0.  The exact <eta> is in
-    closed form.  Raises QuadratureError naming the first a/W at which the
-    matching degenerates.
+    fields as arrays over a/W.  Var(sqrt(eta)) >= 0 is the rule's mean square
+    of T - t0 about its mean, or where <sqrt(eta)>^2 <= <eta>/2, <eta> -
+    <sqrt(eta)>^2 after the clamps to <sqrt(eta)>^2 <= <eta> <= eta_max.  The
+    exact <eta> is in closed form.  Raises QuadratureError naming the first
+    a/W at which the matching degenerates.
     """
     t0 = max_transmission_coefficient(a_over_W)
-    mean_t, mean_t2 = t0, t0 * t0
+    mean_t, mean_t2, var = t0, t0 * t0, np.zeros_like(t0)
     if sigma_b2 > 0:
         # for the exact model lam only places the window, and it is 2 to an
         # ulp below a/W = 1e-3; the floor keeps it clear of the matching's
@@ -129,23 +131,35 @@ def _moments(a_over_W, sigma_b2: float, model: str):
         # (a/W)^2 may overflow or, in the exact <eta>, underflow to a 0 divisor
         with np.errstate(over="ignore", divide="ignore"):
             if model == "approx":
-                t = t0[:, None] * np.exp(-0.5 * np.exp(0.5 * lam[:, None] * x))
+                power = -0.5 * np.exp(0.5 * lam[:, None] * x)
+                t = t0[:, None] * np.exp(power)
+                # T - t0, with its digits where T rounds to t0
+                dt = t0[:, None] * np.expm1(power)
             else:
                 t = np.sqrt(_eta_exact(np.exp(0.5 * x), a_over_W[:, None]))
+                dt = t - t0[:, None]
                 # the beam's intensity, a Gaussian of variance 1/k per axis,
                 # convolved with the wander's: 1 - exp(-1 / (2/k + 2 sigma_b2))
                 mean_t2 = -np.expm1(-1.0 / (0.5 / (a_over_W * a_over_W) + 2.0 * sigma_b2))
-        # T is monotone, so the mass below u = 1e-14 sees about the T of the
-        # lowest node: t0 when the rim lies far above, 0 when far below
-        below = -math.expm1(-_U_LO) * t[:, 0]
-        mean_t = (weight * t).sum(axis=1) + below
+
+        def mean(f):
+            # T is monotone, so the mass below u = 1e-14 sees about the T of the
+            # lowest node: t0 when the rim lies far above, 0 when far below
+            return (weight * f).sum(axis=1) - math.expm1(-_U_LO) * f[:, 0]
+        mean_t = mean(t)
         if model == "approx":
-            mean_t2 = (weight * t * t).sum(axis=1) + below * t[:, 0]
+            mean_t2 = mean(t * t)
+        # Var(T), the mean square of T - t0 about the rule's own mean of it
+        dt -= mean(dt)[:, None]
+        var = mean(dt * dt)
     # rounding can leave the rule an ulp outside <T>^2 <= <T^2> <= t0^2;
     # mean_t <= t0 gives mean_t**2 <= t0**2, so the clamps restore it exactly
     mean_t = np.minimum(mean_t, t0)
     mean_t2 = np.minimum(np.maximum(mean_t2, mean_t**2), t0**2)
-    return mean_t2, mean_t, mean_t2 - mean_t * mean_t, t0**2
+    # where <T>^2 <= <T^2>/2 the difference loses under a bit, and T - t0
+    # rounds away a T far below t0, as far beyond the rim
+    square = mean_t * mean_t
+    return mean_t2, mean_t, np.where(square <= 0.5 * mean_t2, mean_t2 - square, var), t0**2
 
 
 def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingStats:
@@ -156,12 +170,13 @@ def analytic_moments(geometry: BeamGeometry, model: str = "approx") -> FadingSta
     (default) or the square root of the exact clipping transmittance.  The
     substitution u = r^2/(2 sigma_b2), s = ln u turns it into the integral
     of exp(-u) u T^n over s, which a composite 12-point Gauss-Legendre rule
-    takes on s in [ln 1e-14, ln 60]: panels 0.5/p wide across the rim, where
+    takes on s in [ln 1e-14, ln 60]: panels 1/p wide across the rim, where
     T changes on the scale 1/p, p = max(lam/2, 1), and at most 1 wide
-    elsewhere.  Every geometry gets the same 1560 nodes.  Halving every
-    panel and widening the window moves no moment by more than 5e-16 over
-    a/W 0.01-3e4 and sigma_b2 1e-12-1e3.  The exact model's <T^2> = <eta>
-    needs no rule: it is 1 - exp(-1 / (2/k + 2 sigma_b2)), k = 4 (a/W)^2.
+    elsewhere.  Every geometry gets the same 1008 nodes.  Halving the panels
+    across the rim moves no <eta> or <sqrt(eta)> by more than 6e-16, or 4
+    ulps, over a/W 0.01-3e4 and sigma_b2 1e-12-1e3.  The exact model's
+    <T^2> = <eta> needs no rule: it is 1 - exp(-1 / (2/k + 2 sigma_b2)),
+    k = 4 (a/W)^2.
 
     Parameters
     ----------

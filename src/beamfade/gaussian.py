@@ -49,7 +49,7 @@ class CovMat2:
             m = _require(f"block {name}", getattr(self, name), lambda m: True, "real")
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, m.copy())  # not the caller's array
         full = self.matrix
         if not (np.allclose(self.a, self.a.T, atol=1e-10)
                 and np.allclose(self.b, self.b.T, atol=1e-10)):
@@ -114,7 +114,7 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c
-    return CovMat2(a=cm.a.copy(), b=b_out, c=c_out)
+    return CovMat2(a=cm.a, b=b_out, c=c_out)
 
 
 def _spectrum(low: np.ndarray) -> tuple[float, float]:

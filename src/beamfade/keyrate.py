@@ -91,7 +91,7 @@ def _faded_tmsv(v, eta_mean, sqrt_eta_mean, var, epsilon):
     The state is A = V I, B = b I, C = c diag(1, -1) with
     b = 1 + <eta>(V - 1) + t epsilon and c^2 = t (V^2 - 1), t = <sqrt(eta)>^2
     (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  var = Var(sqrt(eta))
-    >= 0 is the caller's, as the clamps of `fading._moments` and `FadingStats`
+    >= 0 is the caller's, as `fading._moments` and the clamp of `FadingStats`
     guarantee.  Returns t, the input-referred noise t epsilon, b, c and
     D = V b - c^2 = V (1 - <eta>) + V^2 var + t (1 + V epsilon), a sum of
     non-negative terms.

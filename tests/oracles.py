@@ -32,6 +32,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -236,6 +237,41 @@ def fading_moments(a_over_W, sigma_b2, model="approx"):
         return float(h * (f.sum() - 0.5 * (f[0] + f[-1])))
 
     return trapezoid(density * eta), trapezoid(density * np.sqrt(eta))
+
+
+def weibull_moments_mp(t0, lam, scale, sigma_b2):
+    """(<T>, <T^2>, Var(T)) of the Weibull form, in 40-digit mpmath arithmetic.
+
+    T(r) = t0 exp(-(r/scale)^lam / 2) is taken from the library's (t0, lam,
+    scale), and the offset's Rayleigh law becomes exp(-u) du in
+    u = r^2 / (2 sigma_b2).  `mpmath.quad` integrates d = T - t0 =
+    t0 expm1(-(u/u*)^(lam/2) / 2) in s = ln u over [-100, ln 150], split at
+    the rim u* = scale^2 / (2 sigma_b2), and Var(T) as the integral of
+    (d - <d>)^2, so no difference of nearly equal moments is formed.  The
+    mass beyond that range is below e^-100.  quad's tolerance is absolute,
+    so the variance is integrated again scaled by a 15-digit first value.
+    """
+    with mp.workdps(40):
+        t0, lam, scale, sigma_b2 = map(mp.mpf, (t0, lam, scale, sigma_b2))
+        s_rim = 2 * mp.log(scale) - mp.log(2 * sigma_b2)
+        lo, hi = mp.mpf(-100), mp.log(150)
+        # the rim's transition is 1/p wide in s, the density's peak 1 wide at s = 0
+        p = max(lam / 2, 1)
+        points = sorted({lo, mp.mpf(-40), mp.mpf(0), hi,
+                         *(x for x in (s_rim + k / p for k in (-30, -8, -3, -1, 0, 1, 3, 8, 16))
+                           if lo < x < hi)})
+
+        def integral(f):
+            return mp.quad(lambda s: mp.exp(s - mp.exp(s)) * f(s), points)
+
+        def d(s):
+            return t0 * mp.expm1(-mp.exp(lam / 2 * (s - s_rim)) / 2)
+
+        mean_d = integral(d)
+        with mp.workdps(15):
+            size = abs(integral(lambda s: (d(s) - mean_d) ** 2)) or 1
+        var = integral(lambda s: (d(s) - mean_d) ** 2 / size) * size
+        return float(t0 + mean_d), float((t0 + mean_d) ** 2 + var), float(var)
 
 
 def faded_tmsv_dense(v, epsilon, eta_mean, sqrt_eta_mean):

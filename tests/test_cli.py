@@ -236,6 +236,28 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, named, status", [
+        ((), None, 2), (("bogus",), None, 2), (("-h",), None, 0),
+        (("curve", "--steps", "1"), "curve", 2), (("curve", "--bogus"), "curve", 2),
+        *(((name, "--help"), name, 0)
+          for name in ("stats", "curve", "ln-curve", "kr-curve", "fit", "sample")),
+    ])
+    def test_texts_are_the_full_parsers(self, capsys, monkeypatch, argv, named, status):
+        # main builds a named command's parser alone, and the full parser
+        # otherwise; either gives the full parser's usage, help and error texts
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            return exc.value.code, capsys.readouterr()
+
+        full, built = build_parser, []
+        monkeypatch.setattr("beamfade.cli.build_parser",
+                            lambda command=None: built.append(command) or full(command))
+        want = outcome(full().parse_args)
+        assert outcome(main) == want
+        assert want[0] == status
+        assert built == [named]
+
     def test_reversed_sweep_is_computation_error(self, capsys):
         code, out, err = run(capsys, "curve", "--aw-min", "2", "--aw-max", "1")
         assert code == 1
@@ -330,14 +352,15 @@ class TestCurve:
     def test_every_column_is_the_library_triple(self, capsys, model):
         # sigma_b2 = 0 takes the branch of the moment rule that returns t0;
         # at a/W = 0.063543 and 0.231259, t0**2 (libm pow) rounds above
-        # t0 * t0, the product both sides use for Var(sqrt(eta))
+        # t0 * t0, the product both sides use for Var(sqrt(eta)); at 1e-6
+        # the variance is summed from centred terms, and FadingStats stores it
         code, out, _ = run(capsys, "curve", "--aw-min", "0.063543",
                            "--aw-max", "0.231259", "--steps", "2",
                            "--sigma-b2", "0", "--sigma-b2", "0.3",
-                           "--model", model)
+                           "--sigma-b2", "1e-6", "--model", model)
         assert code == 0
         _, rows = rows_of(out)
-        assert len(rows) == 4
+        assert len(rows) == 6
         for row in rows:
             stats = analytic_moments(
                 BeamGeometry(float(row[0]), float(row[1])), model=model)

@@ -28,7 +28,8 @@ from beamfade.fading import (
     fading_excess_noise,
 )
 
-from oracles import eta_rice_quadrature, exact_eta_mean, fading_moments, mean_fraction
+from oracles import (
+    eta_rice_quadrature, exact_eta_mean, fading_moments, mean_fraction, weibull_moments_mp)
 
 REF_GEOMETRY = BeamGeometry(1.0, 0.3)
 # error bound of `oracles.fading_moments`: its trapezoid rule is off by the
@@ -83,6 +84,14 @@ class TestFadingStats:
         stats = FadingStats(eta_mean=0.25, sqrt_eta_mean=0.5,
                             var_sqrt_eta=-1e-17, eta_max=0.25)
         assert stats.var_sqrt_eta == 0.0
+
+    @pytest.mark.parametrize("eta_mean, var", [
+        (0.3, 0.05 - 9e-10), (0.3, 0.05 + 9e-10), (0.25 + 1e-12, 1e-30), (0.25, 5e-10)])
+    def test_variance_within_band_stored_as_given(self, eta_mean, var):
+        # <eta> - <sqrt(eta)>^2 checks the variance to 1e-9 but does not replace it
+        stats = FadingStats(eta_mean=eta_mean, sqrt_eta_mean=0.5, var_sqrt_eta=var,
+                            eta_max=1.0)
+        assert stats.var_sqrt_eta == var
 
 
 class TestAnalyticMoments:
@@ -195,6 +204,32 @@ class TestAnalyticMoments:
                     eta_mean, abs=ORACLE_TRAPEZOID_TOL)
                 assert got_sqrt_mean == pytest.approx(
                     sqrt_eta_mean, abs=ORACLE_TRAPEZOID_TOL)
+
+    def test_weibull_moments_match_mp_oracle(self):
+        # the five rows of ROADMAP finding (A) included: there <eta> -
+        # <sqrt(eta)>^2 was off the oracle's Var(sqrt(eta)) by up to 5.5e19
+        aws = np.array([0.01, 0.0197, 0.3, 1.0, 3.0])
+        for s2 in (1e-6, 1e-3, 0.3, 1.0):
+            got = zip(aws.tolist(), *_moments(aws, s2, "approx"))
+            for aw, eta_mean, sqrt_eta_mean, var, _ in got:
+                p = weibull_params(aw)
+                want = weibull_moments_mp(p.t0, p.lam, p.scale, s2)
+                assert sqrt_eta_mean == pytest.approx(want[0], rel=1e-14, abs=0.0)
+                assert eta_mean == pytest.approx(want[1], rel=1e-14, abs=0.0)
+                assert var == pytest.approx(want[2], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_twice_the_window_panels_move_no_mean(self, monkeypatch, model):
+        # the rule's window is resolved: its truncation error lies below
+        # rounding, which moves a mean by at most 4 ulps (5.4e-16) here
+        aws = np.geomspace(0.01, 3e4, 29)
+        for s2 in np.geomspace(1e-12, 1e3, 31).tolist():
+            got = _moments(aws, s2, model)[:2]
+            with monkeypatch.context() as m:
+                m.setattr(beamfade.fading, "_WINDOW_PANELS", 2 * beamfade.fading._WINDOW_PANELS)
+                finer = _moments(aws, s2, model)[:2]
+            for x, y in zip(got, finer):
+                assert np.all(np.abs(x - y) <= 6e-16 * y)
 
     @pytest.mark.parametrize("s2", [0.3, 2.0])
     def test_exact_tails_of_a_narrow_beam(self, s2):
@@ -311,7 +346,7 @@ class TestAnalyticMoments:
     @pytest.mark.parametrize("aws", [[1e155], [1e155, 1e160]])
     def test_rim_check_spares_the_nodes(self, monkeypatch, aws):
         # the Weibull rim matching, which places the rule's window, checks
-        # every a/W before the exact kernel evaluates the 1560 nodes
+        # every a/W before the exact kernel evaluates the 1008 nodes
         seen = []
 
         def counting_kernel(r, a_over_W):

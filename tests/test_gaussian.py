@@ -46,6 +46,18 @@ class TestCovMat2:
         assert np.array_equal(full[2:, 2:], cm.b)
         assert np.array_equal(full[:2, 2:], cm.c)
 
+    def test_keeps_no_view_of_the_callers_arrays(self):
+        # the blocks stay those that the uncertainty check and the Cholesky
+        # factor saw, whatever the caller later writes into its arrays
+        want = tmsv(3.0)
+        a, b, c, full = want.a.copy(), want.b.copy(), want.c.copy(), want.matrix
+        made = [CovMat2(a=a, b=b, c=c), CovMat2.from_matrix(full)]
+        for x in (a, b, c, full):
+            x[...] = 0.1
+        for cm in made:
+            assert np.array_equal(cm.matrix, want.matrix)
+            assert symplectic_eigs(cm) == symplectic_eigs(want)
+
     def test_from_matrix_round_trip(self):
         cm = tmsv(3.0)
         again = CovMat2.from_matrix(cm.matrix)

@@ -464,6 +464,17 @@ class TestTransmittanceSeries:
                                              rf"got shape {re.escape(str(shape))}$"):
             TransmittanceSeries(np.zeros(shape))
 
+    def test_keeps_no_view_of_the_callers_arrays(self):
+        # a write to the caller's float64 array after the checks must not
+        # reach the checked, frozen value
+        eta, edges, counts = np.array([0.5, 0.25]), np.array([0.0, 0.5, 1.0]), np.array([1, 2])
+        series = TransmittanceSeries(eta)
+        hist = Histogram(bin_edges=edges, counts=counts)
+        eta[0], edges[1], counts[0] = 5.0, 2.0, -7
+        assert series.samples.tolist() == [0.5, 0.25]
+        assert hist.bin_edges.tolist() == [0.0, 0.5, 1.0]
+        assert hist.counts.tolist() == [1, 2]
+
 
 class TestHistogram:
 
