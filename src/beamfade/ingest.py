@@ -138,8 +138,7 @@ def parse_series(stream, reference=None, label="") -> TransmittanceSeries:
     """
     if reference is not None:
         try:  # one number; a Python float, as `_first_fault` divides by it
-            reference = _require("reference", reference, lambda r: (r > 0) & (r.ndim == 0),
-                                 "positive").item()
+            reference = _require("reference", reference, lambda r: r > 0, "positive", True)
         except ValueError:
             raise SeriesFormatError(f"reference must be positive, got {reference}") from None
     return TransmittanceSeries(np.concatenate(list(_series_pieces(stream, reference))),

@@ -40,12 +40,6 @@ _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_noise_and_efficiency(epsilon, beta):
-    return (_require("epsilon (excess noise)", epsilon, lambda e: 0.0 <= e <= EPSILON_MAX,
-                     f"in [0, {EPSILON_MAX:g}] SNU"),
-            _require("beta", beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]"))
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Coherent-state protocol knobs, stored as floats.
@@ -67,10 +61,13 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        v = _require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
-                     f"in [1, {V_MAX:g}] SNU")
-        for f, x in zip(fields(self), (v, *_check_noise_and_efficiency(self.epsilon, self.beta))):
-            object.__setattr__(self, f.name, float(x))
+        checked = (_require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
+                            f"in [1, {V_MAX:g}] SNU", True),
+                   _require("epsilon (excess noise)", self.epsilon,
+                            lambda e: 0.0 <= e <= EPSILON_MAX, f"in [0, {EPSILON_MAX:g}] SNU", True),
+                   _require("beta", self.beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]", True))
+        for f, x in zip(fields(self), checked):
+            object.__setattr__(self, f.name, x)
 
 
 def _entropy(nu):
@@ -250,6 +247,6 @@ def optimize_modulation(stats: FadingStats, epsilon: float,
     |dV|/V < 1e-4.
     Deterministic: identical inputs give identical results.
     """
-    epsilon, beta = _check_noise_and_efficiency(epsilon, beta)
-    found = _optimize(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta, epsilon, beta)
+    p = ProtocolParams(V_SEARCH_MIN, epsilon, beta)  # checks epsilon and beta, as a protocol's
+    found = _optimize(stats.eta_mean, stats.sqrt_eta_mean, stats.var_sqrt_eta, p.epsilon, p.beta)
     return ModulationOptimum(*(x[0].item() for x in found))

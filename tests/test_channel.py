@@ -910,6 +910,36 @@ class TestNotANumber:
             call()
 
 
+# every field of the four value types, with a valid value for each
+VALUE_TYPES = {
+    BeamGeometry: {"a_over_W": 1.0, "sigma_b2": 0.3},
+    WeibullParams: {"t0": 0.9, "lam": 2.0, "scale": 1.0},
+    ProtocolParams: {"v": 7.0, "epsilon": 0.01, "beta": 0.97},
+    FadingStats: {"eta_mean": 0.25, "sqrt_eta_mean": 0.5, "var_sqrt_eta": 0.0, "eta_max": 0.36},
+}
+
+
+class TestOneNumberPerField:
+    """Each field of a value type is one number: a list or an array of any
+    length raises the field's ValueError, not numpy's unnamed TypeError or its
+    "truth value ... is ambiguous"."""
+
+    @pytest.mark.parametrize("shape", [lambda x: np.array([x]), lambda x: np.array([x, x]),
+                                       lambda x: [x]], ids=["array-1", "array-2", "list"])
+    @pytest.mark.parametrize("kind, field", [(kind, field) for kind, fields in VALUE_TYPES.items()
+                                             for field in fields])
+    def test_field_named(self, kind, field, shape):
+        values = dict(VALUE_TYPES[kind])
+        values[field] = shape(values[field])
+        with pytest.raises(ValueError, match=rf"^{field}\b.* must be a single number, got"):
+            kind(**values)
+
+    @pytest.mark.parametrize("kind", VALUE_TYPES)
+    def test_numbers_stored_as_given(self, kind):
+        value = kind(**VALUE_TYPES[kind])
+        assert vars(value) == VALUE_TYPES[kind]
+
+
 def numbers_in(lo, hi):
     """Numbers in [lo, hi] as a bool, an np.int64, an np.float16, an np.float32 or
     a Fraction: the real numbers that are not float64 but convert to one.  [lo, hi]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import beamfade
 from beamfade import ingest, keyrate
-from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
+from beamfade.channel import BeamGeometry, _sample_text, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import (
     _PASS_ROWS, _SWEEP_BLOCK, _csv, _fmt, _sweep, build_parser, cmd_sample, main)
 from beamfade.fading import _moments, analytic_moments, empirical_moments
@@ -753,6 +753,75 @@ class TestSample:
         assert code == 0
         assert out == ""
         assert dst.read_text().startswith("# transmittance samples")
+
+
+def percent_text(x):
+    """The text that `sample` wrote with one % per block."""
+    return "%.17g\n" * x.size % tuple(x.tolist())
+
+
+def sample_text(x):
+    """The text that `sample` writes now, of x as one block."""
+    return "".join(_sample_text([x]))
+
+
+def assert_percent_text(x):
+    # lines, whose first difference pytest reports without a diff of the whole text
+    assert sample_text(x).split("\n") == percent_text(x).split("\n")
+
+
+def ulps_around(x, count):
+    """x > 0 and the `count` floats on each side of it, whose bits are the
+    neighbouring integers."""
+    return (np.float64(x).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+def sub_block_edges():
+    """Samples whose values outside [1e-4, 1) take the first and the last slot
+    of each of `_sample_text`'s sub-blocks of 8192."""
+    x = np.random.default_rng(5).uniform(1e-4, 1.0, 3 * 8192 + 5)
+    ends = [0, 8191, 8192, 16383, 16384, x.size - 1]
+    x[ends] = [0.0, 1.0, 3e-7, 5e-324, 9.999999999999999e-05, 1.0]
+    return x
+
+
+EDGE_VALUES = {
+    # every tie at the 18th significant digit, which rounds half to even
+    "ties": np.arange(1, 2**18, 2) / 2.0**18,
+    # log10 gives the decimal exponent off by 1 next to each 10^-k
+    **{f"1e-{k}": ulps_around(10.0**-k, 2000) for k in range(1, 6)},
+    # %g turns to the exponent form below 1e-4
+    "1e-4": ulps_around(1e-4, 3),
+    "special": np.array([0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0)]),
+    "trailing-zeros": np.array([0.5, 0.25, 0.1, 0.125, 0.0625, 0.75]),
+    "sub-block-edges": sub_block_edges(),
+}
+
+
+class TestSampleText:
+    """`_sample_text` against the % route, value by value."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_any_values_in_unit_interval(self, values):
+        assert_percent_text(np.array(values))
+
+    @pytest.mark.parametrize("name", EDGE_VALUES)
+    def test_edge_values(self, name):
+        assert_percent_text(EDGE_VALUES[name])
+
+    def test_block_in_less_memory_than_percent(self):
+        # one block of 65536 samples: 2.8 MB traced against 4.0 MB for one %
+        eta = sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=65536)
+        peaks = []
+        for text in (percent_text, sample_text):
+            tracemalloc.start()
+            try:
+                text(eta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 @pytest.fixture(scope="module")
