@@ -510,79 +510,6 @@ def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
             for size in sizes)
 
 
-def _scaled(m, e, p):
-    """round-half-even(m 2^e 10^p), exact, for int arrays m < 2^53 and p <= 22
-    and a shift s = -(e + p) in [1, 63] that leaves less than 2^64: m 5^p <
-    2^105 is formed from 32-bit limbs as high 2^64 + low, then shifted right."""
-    f = (5 ** np.arange(23, dtype=np.uint64))[p]
-    mh, ml, fh, fl = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
-    part, mid = ml * fl, mh * fl + ml * fh
-    low = part + (mid << 32)  # modulo 2^64
-    high, s = mh * fh + (mid >> 32) + (low < part), (-(e + p)).astype(np.uint64)
-    q, rest, half = (high << 64 - s) | (low >> s), low & (1 << s) - 1, 1 << s - 1
-    return q + ((rest > half) | (rest == half) & ((q & 1) == 1))
-
-
-def _sample_rows(x, digits):
-    """The bytes of "%.17g\\n" % v for each v of `x`, from `_sample_text`'s table.
-
-    %g writes each v in [1e-4, 1) as "0.", -E - 1 zeros and its 17 significant
-    digits D = round(v 10^(16 - E)) less their trailing zeros, for the decimal
-    exponent E.  log10 gives E but next to each 10^-k, where a D outside
-    [10^16, 10^17) corrects it by 1.  The other values (0, 1, the exponent form
-    and subnormals) take % one by one.  The rows of text are padded, with NUL
-    bytes and those of % with spaces, and both pads are deleted at the end.
-    """
-    fast = (x >= 1e-4) & (x < 1.0)
-    v = np.where(fast, x, 0.5)
-    mantissa, e = np.frexp(v)
-    m, e = (mantissa * 2.0**53).astype(np.uint64), e - 53
-    exp10 = np.floor(np.log10(v)).astype(np.intp)
-    d = _scaled(m, e, 16 - exp10)
-    fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
-    exp10[fix] += np.where(d[fix] < 10**16, -1, 1)
-    d[fix] = _scaled(m[fix], e[fix], 16 - exp10[fix])
-    high, low = np.divmod(d, 10**8)
-    lead, high = np.divmod(high, 10**8)
-    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
-    # a row: NUL NUL "0.", -E - 1 zeros and the lead digit, 4 groups of digits, "\n"
-    rows = np.empty((x.size, 7), np.uint32)
-    rows[:, 0] = int.from_bytes(b"\0\0" b"0.", "little")
-    rows[:, 1] = (0x303030 >> 8 * (exp10 + 4)) + (lead.astype(np.intp) + 48 << 24)
-    for k, group in enumerate(groups[:3]):
-        rows[:, 2 + k] = digits[0, group]
-    rows[:, 5] = digits[1, groups[3]]
-    ends = np.flatnonzero(groups[3] == 0)  # rows whose digits end before their last group
-    for k in (2, 1, 0):
-        rows[ends, 2 + k] = digits[1, groups[k][ends]]
-        ends = ends[groups[k][ends] == 0]
-    rows[:, 6] = ord("\n")
-    slow = np.flatnonzero(~fast)
-    text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode()
-    rows.view(np.uint8)[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-    return rows.tobytes().translate(None, b"\0 ")
-
-
-def _sample_text(blocks):
-    """The command line's text "%.17g\\n" % x of each sample x, as one str per
-    block of `blocks`, made by `_sample_rows` 8192 samples at a time, which
-    holds less memory than one %.  Its table holds in row 0 the 4 ASCII digits
-    of each group 0000-9999 as one little-endian uint32, and in row 1 the same
-    with the group's trailing zeros as NUL bytes.  It is built once the first
-    block is drawn: built before, it raised an exact-model draw's peak 0.3 MB."""
-    digits = None
-    for eta in blocks:
-        if digits is None:
-            groups, digits = np.arange(10000, dtype=np.uint32), np.zeros((2, 10000), np.uint32)
-            for j in range(4):  # digit j of each group, in byte j of its word
-                digit = groups // 10 ** (3 - j) % 10 + 48
-                digits[0] |= digit << 8 * j
-                digits[1] |= digit * (groups % 10 ** (4 - j) > 0) << 8 * j
-        yield b"".join(_sample_rows(x, digits) for x in np.split(
-            eta, range(8192, eta.size, 8192))).decode()
-
-
-
 def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
                          model: str = "approx") -> np.ndarray:
     """Monte-Carlo sample of intensity transmittances eta.

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import beamfade
 from beamfade import ingest, keyrate
-from beamfade.channel import BeamGeometry, _sample_text, exact_eta_at_offset, sample_transmittance
+from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import (
-    _PASS_ROWS, _SWEEP_BLOCK, _csv, _fmt, _sweep, build_parser, cmd_sample, main)
+    _PASS_ROWS, _SWEEP_BLOCK, _csv, _fmt, _sample_rows, _sample_text, _sweep, build_parser,
+    cmd_sample, main)
 from beamfade.fading import _moments, analytic_moments, empirical_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
@@ -785,6 +786,16 @@ def sub_block_edges():
     return x
 
 
+def half_in_range(extra):
+    """Two sub-blocks whose samples alternate between [1e-4, 1) and 1, 0, the
+    exponent form and subnormals, with `extra` more samples in [1e-4, 1)."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(1e-4, 1.0, 2 * 8192)
+    tail = np.flatnonzero(np.arange(x.size) % 2)[extra:]
+    x[tail] = rng.choice([1.0, 0.0, 5e-324, 1e-310, 3e-7, 9.999999999999999e-05], tail.size)
+    return x
+
+
 EDGE_VALUES = {
     # every tie at the 18th significant digit, which rounds half to even
     "ties": np.arange(1, 2**18, 2) / 2.0**18,
@@ -795,6 +806,9 @@ EDGE_VALUES = {
     "special": np.array([0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0)]),
     "trailing-zeros": np.array([0.5, 0.25, 0.1, 0.125, 0.0625, 0.75]),
     "sub-block-edges": sub_block_edges(),
+    # half the block outside [1e-4, 1) takes one %, one sample fewer the rows
+    "half-in-range": half_in_range(0),
+    "half-in-range-and-one": half_in_range(1),
 }
 
 
@@ -810,8 +824,21 @@ class TestSampleText:
     def test_edge_values(self, name):
         assert_percent_text(EDGE_VALUES[name])
 
+    @pytest.mark.parametrize("extra, sub_blocks", [(0, 0), (1, 2)])
+    def test_block_mostly_outside_range_takes_percent(self, monkeypatch, extra, sub_blocks):
+        # % writes 0, 1 and the exponent form faster than the rows, which splice them
+        calls = []
+
+        def counted(x, digits):
+            calls.append(x.size)
+            return _sample_rows(x, digits)
+
+        monkeypatch.setattr("beamfade.cli._sample_rows", counted)
+        assert_percent_text(half_in_range(extra))
+        assert calls == [8192] * sub_blocks
+
     def test_block_in_less_memory_than_percent(self):
-        # one block of 65536 samples: 2.8 MB traced against 4.0 MB for one %
+        # one block of 65536 samples: 2.9 MB traced against 4.0 MB for one %
         eta = sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=65536)
         peaks = []
         for text in (percent_text, sample_text):
