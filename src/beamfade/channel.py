@@ -51,6 +51,12 @@ def _require(name, x, ok, rule, scalar=False):
     raise ValueError(f"{name} must be finite and {rule}, got {bad[0] if len(bad) else x}")
 
 
+def _store(obj, **checked):
+    """Set the fields of the frozen dataclass `obj` to the values its checks returned."""
+    for name, value in checked.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class BeamGeometry:
     """Channel configuration, stored as floats: aperture-to-beam-size ratio and wandering strength.
@@ -67,9 +73,8 @@ class BeamGeometry:
     sigma_b2: float
 
     def __post_init__(self):
-        for name, ok, rule in (("a_over_W", lambda a: a > 0, "> 0"),
-                               ("sigma_b2", lambda s: s >= 0, ">= 0")):
-            object.__setattr__(self, name, _require(name, getattr(self, name), ok, rule, True))
+        _store(self, a_over_W=_require("a_over_W", self.a_over_W, lambda a: a > 0, "> 0", True),
+               sigma_b2=_require("sigma_b2", self.sigma_b2, lambda s: s >= 0, ">= 0", True))
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,9 @@ class WeibullParams:
     scale: float
 
     def __post_init__(self):
-        for name, ok, rule in (("t0", lambda t: 0 < t <= 1, "in (0, 1]"),
-                               ("lam", lambda lam: lam > 0, "> 0"),
-                               ("scale", lambda s: s > 0, "> 0")):
-            object.__setattr__(self, name, _require(name, getattr(self, name), ok, rule, True))
+        _store(self, t0=_require("t0", self.t0, lambda t: 0 < t <= 1, "in (0, 1]", True),
+               lam=_require("lam", self.lam, lambda lam: lam > 0, "> 0", True),
+               scale=_require("scale", self.scale, lambda s: s > 0, "> 0", True))
 
 
 def max_transmission_coefficient(a_over_W):
@@ -395,11 +399,12 @@ def weibull_params(a_over_W: float) -> WeibullParams:
     d eta_exact / dr = -k exp(-k (r^2 + 1) / 2) I1(k r), so the rim slope is
     -k i1e(k).  `_rim` sums both, and t0^2 - eta_exact(1) for G by log1p, as
     power series below k = 22 and Hankel's series above, so lam -> 2 as
-    a/W -> 0.  Raises QuadratureError naming a_over_W below about 8.6e-78
-    and above about 6.7e153, where those sums leave the float range.
+    a/W -> 0.  An a/W that is not one number > 0, an array included, raises
+    ValueError naming a_over_W; below about 8.6e-78 and above about 6.7e153,
+    where those sums leave the float range, QuadratureError names it.
     """
-    a_over_W = _require("a_over_W", a_over_W, lambda a: a > 0, "> 0")
-    return WeibullParams(*_weibull(a_over_W))
+    a_over_W = _require("a_over_W", a_over_W, lambda a: a > 0, "> 0", True)
+    return WeibullParams(*_weibull(np.asarray(a_over_W)))
 
 
 def eta_approx(r, params: WeibullParams):
@@ -453,7 +458,7 @@ def pdt_density(t, params: WeibullParams, sigma_b2: float):
     float or ndarray
         Density per unit T, >= 0.
     """
-    sigma_b2 = float(_require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0"))
+    sigma_b2 = _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0", True)
     t = _require("t", t, lambda t: True, "real")
     u, r, cdf = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)
     # |dr/dT| diverges integrably at T -> t0 for lam > 1.  Where T <= 0 or T >= t0,
@@ -477,7 +482,7 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     for t >= t0.  Closed form: integrating `pdt_density` reproduces it, and
     `ingest.fit_geometry` evaluates the same kernel as its model CDF.
     """
-    sigma_b2 = float(_require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0"))
+    sigma_b2 = _require("sigma_b2", sigma_b2, lambda s: s > 0, "> 0", True)
     t = _require("t", t, lambda t: True, "real")
     out = _offset_cdf(t, params.t0, params.lam, params.scale, sigma_b2)[2]
     return out if out.ndim else float(out)

@@ -29,21 +29,15 @@ from .keyrate import EPSILON_MAX, V_MAX, _log_negativity, _optimize, _rates
 
 # a/W values per moment-rule call, so a sweep of any length holds one block's nodes
 _SWEEP_BLOCK = 128
-# a/W values per kernel pass of whole sigma_b2 groups, so a long sweep holds one group
+# a/W values per kernel pass of whole sigma_b2 groups, and channels per modulation search
 _PASS_ROWS = 1024
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
 
 
 def _csv(header, blocks):
     """The CSV text of `header` and of `blocks`, lists of rows, as one text piece.
 
-    A block takes one % of a row template, "%.12g" per float (the text of
-    `_fmt`) and "%d" per int ("%.12g" % 10**12 is 1e+12)."""
+    A block takes one % of a row template, "%.12g" per float and "%d" per int
+    ("%.12g" % 10**12 is 1e+12)."""
     def text(rows):
         row = ",".join("%d" if isinstance(x, int) else "%.12g" for x in rows[0]) + "\n"
         return row * len(rows) % tuple(chain.from_iterable(rows))
@@ -81,19 +75,6 @@ def _ln0(text):
     return _variance(repr(v))
 
 
-def _add_sweep_flags(sub):
-    sub.add_argument("--aw-min", type=_positive, default=0.5,
-                     help="smallest aperture-to-beam ratio (default 0.5)")
-    sub.add_argument("--aw-max", type=_positive, default=2.0,
-                     help="largest aperture-to-beam ratio (default 2.0)")
-    sub.add_argument("--steps", type=_steps, default=31,
-                     help="number of grid points (default 31)")
-    sub.add_argument("--sigma-b2", type=_non_negative, action="append",
-                     help="beam-center variance, repeatable (default 0.3)")
-    sub.add_argument("--model", choices=("approx", "exact"), default="approx",
-                     help="transmittance model for the moments")
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone, with the same texts."""
     parser = argparse.ArgumentParser(
@@ -123,7 +104,16 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             p.add_argument("--model", choices=("approx", "exact"), default="approx",
                            help="transmittance model (default approx)")
         else:
-            _add_sweep_flags(p)
+            p.add_argument("--aw-min", type=_positive, default=0.5,
+                           help="smallest aperture-to-beam ratio (default 0.5)")
+            p.add_argument("--aw-max", type=_positive, default=2.0,
+                           help="largest aperture-to-beam ratio (default 2.0)")
+            p.add_argument("--steps", type=_steps, default=31,
+                           help="number of grid points (default 31)")
+            p.add_argument("--sigma-b2", type=_non_negative, action="append",
+                           help="beam-center variance, repeatable (default 0.3)")
+            p.add_argument("--model", choices=("approx", "exact"), default="approx",
+                           help="transmittance model for the moments")
         if name == "ln-curve":
             state = p.add_mutually_exclusive_group()
             state.add_argument("--variance", type=_variance, action="append",
@@ -197,8 +187,10 @@ def cmd_kr_curve(args):
 
     def columns(*moments):
         v = np.full(moments[0].shape, args.variance)
-        if args.optimize:
-            v = _optimize(*moments, args.excess_noise, args.beta)[0]
+        if args.optimize:  # at most _PASS_ROWS channels per search, however long the group
+            v = np.concatenate([_optimize(*(m[i:i + _PASS_ROWS] for m in moments),
+                                          args.excess_noise, args.beta)[0]
+                                for i in range(0, v.size, _PASS_ROWS)])
         i_ab, chi, kr = _rates(v, *moments, args.excess_noise, args.beta)
         clamped = np.where(kr > 0.0, kr, 0.0)  # max(0, KR), 0 for -0 and nan
         return [(v, i_ab, chi, *((clamped,) if args.clamp else (kr, clamped)))]
@@ -298,8 +290,8 @@ def cmd_sample(args):
     # the samples are then drawn block by block as main writes them
     blocks = _sample_blocks(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
                             args.seed, args.samples, args.model)
-    header = (f"# transmittance samples a_over_W={_fmt(args.aw)} "
-              f"sigma_b2={_fmt(args.sigma_b2)} n={args.samples} "
+    header = (f"# transmittance samples a_over_W={args.aw:.12g} "
+              f"sigma_b2={args.sigma_b2:.12g} n={args.samples} "
               f"seed={args.seed} model={args.model}\n")
     # each block's text is "%.17g\n" % x per sample x, made by exact integer arithmetic
     # at about 100 ns per sample in [1e-4, 1), against 415 for % (2-CPU Intel Xeon)

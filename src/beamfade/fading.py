@@ -10,7 +10,7 @@ excess noise and the equivalent fixed channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,6 +19,7 @@ from .channel import (
     BeamGeometry,
     _eta_exact,
     _require,
+    _store,
     _weibull,
     max_transmission_coefficient,
 )
@@ -76,8 +77,7 @@ class FadingStats:
         v = _require("var_sqrt_eta", self.var_sqrt_eta, lambda v: abs(v - identity) <= eps,
                      f"<eta> - <sqrt(eta)>^2 = {identity}", True)
         # roundoff can leave a tiny negative variance for a constant channel
-        for f, x in zip(fields(self), (e, t, max(0.0, v), top)):
-            object.__setattr__(self, f.name, x)
+        _store(self, eta_mean=e, sqrt_eta_mean=t, var_sqrt_eta=max(0.0, v), eta_max=top)
 
 
 def _panel_edges(lo, hi):
@@ -256,7 +256,7 @@ def fading_excess_noise(stats: FadingStats, v: float) -> float:
     V is the quadrature variance of the state entering the channel, in
     shot-noise units; the vacuum (V = 1) picks up no fading noise.
     """
-    v = float(_require("v (quadrature variance)", v, lambda v: v >= 1.0, ">= 1 SNU"))
+    v = _require("v (quadrature variance)", v, lambda v: v >= 1.0, ">= 1 SNU", True)
     return stats.var_sqrt_eta * (v - 1.0)
 
 
@@ -269,6 +269,6 @@ def effective_channel(stats: FadingStats, v: float, epsilon: float) -> tuple[flo
     excess noise referred to the channel input.
     """
     noise = fading_excess_noise(stats, v)
-    epsilon = float(_require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0"))
+    epsilon = _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0", True)
     t_eff = stats.sqrt_eta_mean**2
     return t_eff, noise + t_eff * epsilon

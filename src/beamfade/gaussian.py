@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _require
+from .channel import _require, _store
 from .keyrate import V_MAX, _entropy
 
 _EIG_TOL = 1e-9
@@ -49,7 +49,7 @@ class CovMat2:
             m = _require(f"block {name}", getattr(self, name), lambda m: True, "real")
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {m.shape}")
-            object.__setattr__(self, name, m.copy())  # not the caller's array
+            _store(self, **{name: m.copy()})  # not the caller's array
         full = self.matrix
         if not (np.allclose(self.a, self.a.T, atol=1e-10)
                 and np.allclose(self.b, self.b.T, atol=1e-10)):
@@ -64,7 +64,7 @@ class CovMat2:
         # the uncertainty relation makes gamma positive definite, but a
         # near-pure state at large variance can lose that to rounding
         try:
-            object.__setattr__(self, "_low", np.linalg.cholesky(full))
+            _store(self, _low=np.linalg.cholesky(full))
         except np.linalg.LinAlgError:
             raise ValueError("covariance matrix is not numerically positive "
                              "definite (a nearly pure state beyond double "
@@ -91,8 +91,8 @@ def tmsv(v: float) -> CovMat2:
     A = B = V I, C = sqrt(V^2 - 1) diag(1, -1); V = 1 is two vacua.  V must
     lie in [1, V_MAX], the state variances the key-rate kernels accept.
     """
-    v = float(_require("v (quadrature variance)", v, lambda v: 1.0 <= v <= V_MAX,
-                       f"in [1, {V_MAX:g}] SNU"))
+    v = _require("v (quadrature variance)", v, lambda v: 1.0 <= v <= V_MAX,
+                 f"in [1, {V_MAX:g}] SNU", True)
     corr = math.sqrt(v**2 - 1.0)
     return CovMat2(a=v * np.eye(2), b=v * np.eye(2),
                    c=np.diag([corr, -corr]))
@@ -110,7 +110,7 @@ def apply_fading_channel(cm: CovMat2, stats, epsilon: float) -> CovMat2:
     + <sqrt(eta)>^2 epsilon on the diagonal; correlations scale with
     <sqrt(eta)>; mode 1 is untouched.
     """
-    epsilon = float(_require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0"))
+    epsilon = _require("epsilon (excess noise)", epsilon, lambda e: e >= 0.0, ">= 0", True)
     eye = np.eye(2)
     b_out = eye + stats.eta_mean * (cm.b - eye) + stats.sqrt_eta_mean**2 * epsilon * eye
     c_out = stats.sqrt_eta_mean * cm.c
@@ -151,7 +151,7 @@ def entropy_g(nu: float) -> float:
     nu down to 1 - 1e-9 (a pure mode, up to rounding) gives 0.
     """
     return float(_entropy(_require("nu (symplectic eigenvalue)", nu,
-                                   lambda nu: nu >= 1.0 - _EIG_TOL, ">= 1")))
+                                   lambda nu: nu >= 1.0 - _EIG_TOL, ">= 1", True)))
 
 
 def von_neumann_entropy(cm: CovMat2) -> float:

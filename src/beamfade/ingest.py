@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamGeometry, _offset_cdf, _require, _weibull
+from .channel import BeamGeometry, _offset_cdf, _require, _store, _weibull
 
 # values this far outside [0, 1] are treated as edge noise and clamped
 EDGE_TOLERANCE = 0.01
@@ -82,7 +82,7 @@ class TransmittanceSeries:
         samples = _require("samples", self.samples, lambda s: (s >= 0.0) & (s <= 1.0), "in [0, 1]")
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError(f"samples must be a non-empty 1-D array, got shape {samples.shape}")
-        object.__setattr__(self, "samples", samples.copy())  # not the caller's array
+        _store(self, samples=samples.copy())  # not the caller's array
 
     @property
     def count(self) -> int:
@@ -106,8 +106,8 @@ class Histogram:
         # checked as floats: the cast to int would truncate 1.7 and -0.5 and wrap 2**63
         _require("counts", self.counts, lambda c: (c >= 0) & (c < 2.0**63) & (c == np.round(c)),
                  "an integer in [0, 2**63)")
-        object.__setattr__(self, "bin_edges", edges.copy())  # not the caller's array
-        object.__setattr__(self, "counts", np.asarray(self.counts).astype(int))
+        # copies, not the caller's arrays
+        _store(self, bin_edges=edges.copy(), counts=np.asarray(self.counts).astype(int))
 
     @property
     def total(self) -> int:

@@ -19,11 +19,11 @@ faded state; the scalar functions below wrap them for one point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _require
+from .channel import _require, _store
 from .fading import FadingStats
 
 V_SEARCH_MAX = 1e3
@@ -61,13 +61,12 @@ class ProtocolParams:
     beta: float = 0.97
 
     def __post_init__(self):
-        checked = (_require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
-                            f"in [1, {V_MAX:g}] SNU", True),
-                   _require("epsilon (excess noise)", self.epsilon,
-                            lambda e: 0.0 <= e <= EPSILON_MAX, f"in [0, {EPSILON_MAX:g}] SNU", True),
-                   _require("beta", self.beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]", True))
-        for f, x in zip(fields(self), checked):
-            object.__setattr__(self, f.name, x)
+        _store(self, v=_require("v (state variance)", self.v, lambda v: 1.0 <= v <= V_MAX,
+                                f"in [1, {V_MAX:g}] SNU", True),
+               epsilon=_require("epsilon (excess noise)", self.epsilon,
+                                lambda e: 0.0 <= e <= EPSILON_MAX,
+                                f"in [0, {EPSILON_MAX:g}] SNU", True),
+               beta=_require("beta", self.beta, lambda b: 0.0 < b <= 1.0, "in (0, 1]", True))
 
 
 def _entropy(nu):

@@ -919,13 +919,17 @@ VALUE_TYPES = {
 }
 
 
+# a number as a list or an array of one or two entries
+SHAPES = pytest.mark.parametrize("shape", [lambda x: np.array([x]), lambda x: np.array([x, x]),
+                                           lambda x: [x]], ids=["array-1", "array-2", "list"])
+
+
 class TestOneNumberPerField:
     """Each field of a value type is one number: a list or an array of any
     length raises the field's ValueError, not numpy's unnamed TypeError or its
     "truth value ... is ambiguous"."""
 
-    @pytest.mark.parametrize("shape", [lambda x: np.array([x]), lambda x: np.array([x, x]),
-                                       lambda x: [x]], ids=["array-1", "array-2", "list"])
+    @SHAPES
     @pytest.mark.parametrize("kind, field", [(kind, field) for kind, fields in VALUE_TYPES.items()
                                              for field in fields])
     def test_field_named(self, kind, field, shape):
@@ -978,6 +982,19 @@ ONE_NUMBER = {
     "entropy_g": (entropy_g, 1, 1e6),
     "pdt_density-sigma_b2": (lambda x: pdt_density(0.5, WEIBULL, x), 0.01, 2),
     "pdt_cdf-sigma_b2": (lambda x: pdt_cdf(0.5, WEIBULL, x), 0.01, 2),
+    "weibull_params": (weibull_params, 0.05, 20),
+}
+
+# the scalar arguments of the public functions, each with the name its check gives it
+SCALAR_ARGUMENTS = {
+    "tmsv": "v (quadrature variance)",
+    "entropy_g": "nu (symplectic eigenvalue)",
+    "apply_fading_channel": "epsilon (excess noise)",
+    "fading_excess_noise": "v (quadrature variance)",
+    "effective_channel-epsilon": "epsilon (excess noise)",
+    "pdt_density-sigma_b2": "sigma_b2",
+    "pdt_cdf-sigma_b2": "sigma_b2",
+    "weibull_params": "a_over_W",
 }
 
 # calls that used to compute in the caller's dtype, or to fail
@@ -998,6 +1015,16 @@ def same_result(got, want):
     if isinstance(want, CovMat2):
         got, want = got.matrix.tobytes(), want.matrix.tobytes()
     return type(got) is type(want) and got == want
+
+
+@SHAPES
+@pytest.mark.parametrize("site", SCALAR_ARGUMENTS)
+def test_scalar_argument_named(site, shape):
+    # a list or an array raises the argument's own ValueError, as a field's does
+    call, _, hi = ONE_NUMBER[site]
+    with pytest.raises(ValueError, match=rf"^{re.escape(SCALAR_ARGUMENTS[site])} must be a "
+                                         "single number, got"):
+        call(shape(hi))
 
 
 class TestOneValuePerNumber:

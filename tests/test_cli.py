@@ -18,7 +18,7 @@ import beamfade
 from beamfade import ingest, keyrate
 from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
 from beamfade.cli import (
-    _PASS_ROWS, _SWEEP_BLOCK, _csv, _fmt, _sample_rows, _sample_text, _sweep, build_parser,
+    _PASS_ROWS, _SWEEP_BLOCK, _csv, _sample_rows, _sample_text, _sweep, build_parser,
     cmd_sample, main)
 from beamfade.fading import _moments, analytic_moments, empirical_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
@@ -31,6 +31,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fmt(x) -> str:
+    """A CSV value's text, independently of `_csv`: an int whole, a float to 12 digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12g}"
 
 
 def rows_of(text):
@@ -399,18 +406,21 @@ class TestCurve:
 
     def test_long_optimized_sweep_in_bounded_memory(self, capsys):
         # a pass holds whole sigma_b2 groups of at most _PASS_ROWS a/W values,
-        # so each 1000-value group here is a pass of its own (about 11 MB); one
-        # pass over all four peaks at about 25 MB
-        tracemalloc.start()
-        try:
-            code = main(["kr-curve", "--optimize", "--steps", "1000",
-                         *(a for s2 in ("0.1", "0.2", "0.3", "0.4") for a in ("--sigma-b2", s2))])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert len(capsys.readouterr().out.splitlines()) == 4001
-        assert peak <= 16e6
+        # so each 1000-value group of the first sweep is a pass of its own
+        # (about 10 MB; one pass over all four peaks at about 25 MB); the
+        # second sweep's longer group is one pass, searched _PASS_ROWS channels
+        # at a time (about 12 MB; one search over all 20000 peaks at about 126 MB)
+        for steps, sigmas in ((1000, ("0.1", "0.2", "0.3", "0.4")), (20000, ("0.3",))):
+            tracemalloc.start()
+            try:
+                code = main(["kr-curve", "--optimize", "--steps", str(steps),
+                             *(a for s2 in sigmas for a in ("--sigma-b2", s2))])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len(capsys.readouterr().out.splitlines()) == steps * len(sigmas) + 1
+            assert peak <= 16e6, steps
 
 
 class TestLnCurve:
