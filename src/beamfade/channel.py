@@ -505,7 +505,10 @@ def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
         eta = partial(eta_approx, params=weibull_params(geometry.a_over_W))
     else:
         _eta_exact(0.0, geometry.a_over_W)  # raises where 4 (a/W)^2 overflows
-        eta = partial(_eta_exact, a_over_W=geometry.a_over_W)
+
+        def eta(r):  # 8192 offsets at a time, as the map holds ~250 B per offset
+            return np.concatenate([_eta_exact(r[i:i + 8192], geometry.a_over_W)
+                                   for i in range(0, r.size, 8192)])
     sigma = math.sqrt(geometry.sigma_b2)
     sizes = [min(_SAMPLE_BLOCK, n - start) for start in range(0, n, _SAMPLE_BLOCK)]
     xs, ys = np.random.default_rng(seed), np.random.default_rng(seed)

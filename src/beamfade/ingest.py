@@ -13,12 +13,17 @@ file comes first, then the first line whose sample is rejected.
 
 Parsing reads a stream in pieces of about 64 Ki characters, or bytes, and
 decodes, converts and checks one piece at a time.  A bytes piece of digits,
-'.', 'e', 'E', '+', '-', CR and LF alone is split as bytes, with no filter but
-that of blank lines; any other piece is split, stripped and filtered as text.
-Either is converted by `np.array(tokens, dtype=float)`, which calls `float` on
-each token.  `parse_series` joins the samples of the pieces, so it peaks at 16
-bytes per sample; the CLI's `stats` and `fit` reduce each piece as it is read,
-by `fading._empirical` and `_cdf_counts`, and hold one piece at a time.
+'.', 'e', 'E', '+', '-', CR and LF alone is plain.  A plain piece whose every
+token is [-][digits].digits, of at most 19 significant digits and 22 after the
+point (as `sample` writes every sample in [1e-4, 1)), is read by exact integer
+arithmetic in numpy, to the doubles `float` gives; `float` takes dtoa's slow
+path on more than 15 digits.  Any other plain piece is split as bytes, with no
+filter but that of blank lines, and any other piece is split, stripped and
+filtered as text; either is converted by `np.array(tokens, dtype=float)`,
+which calls `float` on each token.  `parse_series` joins the samples of the
+pieces, so it peaks at 16 bytes per sample; the CLI's `stats` and `fit` reduce
+each piece as it is read, by `fading._empirical` and `_cdf_counts`, and hold
+one piece at a time.
 """
 
 from __future__ import annotations
@@ -190,15 +195,21 @@ def _series_pieces(stream, reference):
         offset += len(piece)
         # a plain piece splits as its text does, into lines blank or of one token
         plain = isinstance(piece, bytes) and not piece.translate(None, _PLAIN_BYTES)
-        lines = (piece if plain else text).splitlines()
+        read = plain and fault is None and _plain_values(piece)
+        if read:
+            values, n = read
+        else:
+            lines = (piece if plain else text).splitlines()
+            n = len(lines)
+            if fault is None:
+                # float() strips less than str.strip() (not U+001F), so parse stripped text
+                data = [*filter(None, lines)] if plain else [
+                    line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
+                try:
+                    values = np.array(data, dtype=float)
+                except ValueError:
+                    values = np.full(1, np.nan)  # fails the band check below
         if fault is None:
-            # float() strips less than str.strip() (not U+001F), so parse stripped text
-            data = [*filter(None, lines)] if plain else [
-                line for line in map(str.strip, lines) if line[:1] not in ("", "#")]
-            try:
-                values = np.array(data, dtype=float)
-            except ValueError:
-                values = np.full(1, np.nan)  # fails the band check below
             with np.errstate(over="ignore"):  # an overflow to inf fails the band check
                 values /= reference or 1.0
             # nan fails both comparisons, so this also rejects non-finite values
@@ -207,9 +218,75 @@ def _series_pieces(stream, reference):
                 yield np.clip(values, 0.0, 1.0, out=values)
             else:
                 fault = _first_fault(text.splitlines(), before, reference)
-        before += len(lines)
+        before += n
     if fault is not None or not count:
         raise fault or SeriesFormatError("no samples found")
+
+
+def _plain_values(piece):
+    """(float of each token, len(piece.splitlines())) for a plain bytes piece
+    whose every token is [-][digits].digits, D the integer of its digits < 10^19
+    and k <= 22 of them after the point; None for any other piece.
+
+    The digits, read 8 at a time as little-endian words (SWAR), give D, and
+    D / 10^k is one rounding of exact operands if D < 2^53.  Otherwise x = m 2^q
+    = fl(fl(D) / 10^k) is within 2 ulp of v = D / 10^k, so r = D 2^(1-q-k) -
+    2m 5^k = 2 (v / 2^q - m) 5^k, at most 4 5^k < 2^63, is exact in wrapping
+    64-bit arithmetic, and m moves by round-half-even(r / (2 5^k)).  Rows
+    outside that argument take float(): a move of 2 or more, which a shift
+    1 - q - k < 0, taken as 0, also reads as (r ~ D / 2, k <= 3), or m at or
+    below the lowest mantissa of its binade."""
+    if b"e" in piece or b"E" in piece or b"+" in piece:
+        return None
+    b = np.frombuffer(piece, np.uint8)
+    tok = b > 13  # neither CR nor LF
+    edges = np.flatnonzero(np.diff(tok, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    dots = np.flatnonzero(b == 46)
+    if dots.size != starts.size:
+        return None
+    neg = b[starts] == 45
+    k = ends - dots - 1
+    # one '-', first, and one '.' in each token, with 1-22 digits after it
+    if (np.count_nonzero(b == 45) != np.count_nonzero(neg)
+            or not np.all((dots >= starts) & (k > 0) & (k <= 22))):
+        return None
+    # a line per CR or LF, but one per CR LF, and one for text after the last
+    lines = (b.size - np.count_nonzero(tok) - np.count_nonzero((b[:-1] == 13) & (b[1:] == 10))
+             + np.count_nonzero(tok[-1:]))
+    # the 24 bytes up to each token's end, less its '.', as 3 words; the bytes
+    # before its digits are masked off, and '0'-'9' & 15 is 0-9
+    width = ends - starts - 1 - neg
+    digits = b"0" * 24 + piece.translate(None, b".")
+    rows = np.ndarray((len(digits) - 23,), "V24", digits, strides=(1,))
+    keep = (np.arange(24) >= np.arange(25)[:, None]) * np.uint8(15)
+    w = (rows[ends - np.arange(ends.size) - 1].view("<u8")
+         & keep.view("V24")[np.maximum(24 - width, 0), 0].view("<u8"))
+    w = w * 10 + (w >> 8)  # digit pairs, then quads, then the word's 8-digit value
+    w = (((w & 0xFF000000FF) * (100 + (10**6 << 32))
+          + ((w >> 16) & 0xFF000000FF) * (1 + (10**4 << 32))) >> 32)
+    if np.any(w[::3] >= 1000):
+        return None
+    for i in np.flatnonzero(width > 24):  # digits before the 24 must be zeros
+        if digits[24 + ends[i] - i - 1 - width[i]:ends[i] - i - 1].strip(b"0"):
+            return None
+    d = w[::3] * 10**16 + w[1::3] * 10**8 + w[2::3]
+    p5 = 5 ** np.arange(23, dtype=np.uint64)
+    f = p5[k]
+    x = d.astype(float) / np.ldexp(p5.astype(float), np.arange(23))[k]
+    big = d >= 2**53
+    if big.any():  # else each row is one rounding
+        mantissa, e = np.frexp(x)
+        m, q = (mantissa * 2.0**53).astype(np.uint64), e - 53
+        s = 1 - q - k
+        r = ((d << np.maximum(s, 0).astype(np.uint64)) - 2 * m * f).view(np.int64)
+        a = np.abs(r).view(np.uint64)
+        step = (a > f) | (a == f) & (m & 1 == 1)
+        m = m + (step & (r > 0)) - (step & (r < 0))
+        x = np.where(big, np.ldexp(m.astype(float), q), x)
+        for i in np.flatnonzero(big & ((a >= 3 * f) | (m <= 2**52))):
+            x[i] = float(piece[starts[i] + neg[i]:ends[i]])
+    return np.negative(x, out=x, where=neg), lines
 
 
 def _first_fault(lines, before, reference) -> SeriesFormatError:

@@ -440,6 +440,93 @@ class TestParseSeriesPlainBytes:
                 assert parse_outcome(raw.decode(), reference) == want
 
 
+def in_contract(token):
+    """Whether `_plain_values` reads `token`: [-][digits].digits, with at most 19
+    significant digits and at most 22 of them after the point."""
+    match = re.fullmatch(rb"-?([0-9]*)\.([0-9]{1,22})", token)
+    return bool(match) and len((match[1] + match[2]).lstrip(b"0")) <= 19
+
+
+@st.composite
+def digit_tokens(draw):
+    """1-19 random digits, k of them after the point, behind 0-30 zeros."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    k = draw(st.integers(min_value=1, max_value=22))
+    text = "0" * max(draw(st.integers(min_value=0, max_value=30)), k - len(digits)) + digits
+    return f"{text[:-k]}.{text[-k:]}".encode()
+
+
+def midpoint(m, q):
+    """The exact decimal of (m + 1/2) 2^q, halfway between two doubles."""
+    text = format(Decimal(2 * m + 1) * Decimal(2) ** (q - 1), "f")
+    return (text if "." in text else text + ".0").encode()
+
+
+PLAIN_TOKENS = st.one_of(
+    st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=0, max_value=18),
+              st.integers(min_value=1, max_value=22)).map(
+        lambda t: b"%.*f" % (t[2], t[0] * 10 ** t[1])).filter(in_contract),
+    st.tuples(st.floats(min_value=1e-4, max_value=1e15), st.integers(min_value=1, max_value=17)).map(
+        lambda t: b"%.*g" % (t[1], t[0])).filter(in_contract),
+    digit_tokens(),
+    # exact ties between doubles, which round half to even
+    st.builds(midpoint, st.integers(min_value=2**52, max_value=2**53 - 1),
+              st.integers(min_value=-3, max_value=1)).filter(in_contract),
+    # 2^p and its neighbours, to a few decimals: the binade edges
+    st.tuples(st.integers(min_value=-20, max_value=62), st.sampled_from([-np.inf, 0.0, np.inf]),
+              st.integers(min_value=1, max_value=22)).map(
+        lambda t: b"%.*f" % (t[2], np.nextafter(2.0 ** t[0], t[1]) if t[1] else 2.0 ** t[0])
+    ).filter(in_contract),
+)
+
+
+@st.composite
+def plain_pieces(draw):
+    """Tokens in contract, some negative, between runs of LF, CRLF and CR."""
+    parts = []
+    for token in draw(st.lists(PLAIN_TOKENS, max_size=30)):
+        parts += [draw(st.sampled_from([b"", b"-"])) + token.removeprefix(b"-"),
+                  *draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=3))]
+    if parts and draw(st.booleans()):
+        parts.pop()  # no line end after the last line
+    return b"".join(parts)
+
+
+class TestPlainValues:
+    """`_plain_values` reads a plain piece of [-][digits].digits tokens by integer
+    arithmetic; its values and line count are those of float() and splitlines."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(piece=plain_pieces())
+    @example(piece=b"")
+    @example(piece=b"\r\n\n\r")
+    # 1 - q - k < 0: the residual reads as a move of 2 or more, so float() reads the row
+    @example(piece=b"9007199254740993.0\n-9071255582292515.106\n")
+    # rounded to 2^p, a binade's lowest mantissa, so float() reads the row; the
+    # first two round below 2^p
+    @example(piece=b"0.99999999999999992\r\n-511.9999999999999502\r0.99999999999999999\r"
+                   b"1.000000000000000001\n2251799813685248.25")
+    # ties that round to even, and leading zeros beyond the 24 digits read
+    @example(piece=b"4503599627370497.5\n4503599627370498.5\n2251799813685249.75\n"
+                   b"000000000000000000000000000001.5\n0.0000000000000000000001\n")
+    def test_reads_as_float(self, piece):
+        values, lines = ingest._plain_values(piece)
+        want = np.array([*filter(None, piece.splitlines())], dtype=float)
+        assert values.tobytes() == want.tobytes()
+        assert lines == len(piece.splitlines())
+
+    @pytest.mark.parametrize("token", [
+        b".", b"-", b"-.", b"1.2.3", b"--1.0", b"1-2.0", b"1.0-", b"1.0e", b"+1.0", b"5", b"1e5",
+        b"12345678901234567890.5", b"1000000000000000000000000.5", b"0.12345678901234567890123",
+        b"0.00000000000000000000001", b"1.2.3\n45"])
+    @pytest.mark.parametrize("reference", [None, 1e20])
+    def test_other_pieces_take_float(self, token, reference):
+        raw = b"0.5\n" + token + b"\r\n0.25\n"
+        assert ingest._plain_values(raw) is None
+        # the outcome is the per-line reading's: values, or the error of line 2
+        assert parse_outcome(raw, reference) == loop_outcome(raw, reference)
+
+
 class TestTransmittanceSeries:
 
     def test_rejects_empty(self):
