@@ -138,7 +138,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _sweep(args, columns):
-    """Yield the rows (a/W, sigma_b2, *columns) of a sweep, one list per kernel pass.
+    """Yield the rows (a/W, sigma_b2, *columns) of a sweep, _PASS_ROWS at a time.
 
     The moment rule runs once per sigma_b2 and block of _SWEEP_BLOCK a/W
     values.  Whole sigma_b2 groups of up to _PASS_ROWS a/W values in all then
@@ -156,8 +156,9 @@ def _sweep(args, columns):
         keys = np.tile(grid, len(s2)), np.repeat(s2, grid.size)
         blocks = [np.column_stack(np.broadcast_arrays(*keys, *block))
                   for block in columns(*map(np.concatenate, zip(*moments)))]
-        yield np.vstack([b[i:i + grid.size] for i in range(0, keys[0].size, grid.size)
-                         for b in blocks]).tolist()
+        rows = np.vstack([b[i:i + grid.size] for i in range(0, keys[0].size, grid.size)
+                          for b in blocks])
+        yield from (rows[i:i + _PASS_ROWS].tolist() for i in range(0, len(rows), _PASS_ROWS))
 
 
 def cmd_stats(args):
@@ -265,12 +266,12 @@ def _sample_rows(x, digits):
 
 
 def _sample_text(blocks):
-    """The text "%.17g\\n" % x of each sample x, as one str per block of
-    `blocks`.  A block with more than half its samples in [1e-4, 1) is made by
-    `_sample_rows` 8192 samples at a time, which holds less memory than one %
-    of the block; any other block takes one %, which is then the faster.  The
-    table holds in row 0 the 4 ASCII digits of each group 0000-9999 as one
-    little-endian word, and in row 1 the same with trailing zeros as NUL bytes."""
+    """The text "%.17g\\n" % x of each sample x of `blocks`: one str per sub-block
+    of 8192 samples of a block with more than half its samples in [1e-4, 1),
+    which `_sample_rows` makes in less memory than one % of the block, and one
+    str by one % per other block, which is then the faster.  The table holds in
+    row 0 the 4 ASCII digits of each group 0000-9999 as one little-endian word,
+    and in row 1 the same with trailing zeros as NUL bytes."""
     digits = None
     for eta in blocks:
         if digits is None:  # built before the first draw, it raised its peak 0.4 MB
@@ -281,7 +282,7 @@ def _sample_text(blocks):
         if 2 * np.count_nonzero((eta >= 1e-4) & (eta < 1.0)) <= eta.size:
             yield "%.17g\n" * eta.size % tuple(eta.tolist())
         else:
-            yield "".join(_sample_rows(x, digits) for x in np.split(
+            yield from (_sample_rows(x, digits) for x in np.split(
                 eta, range(8192, eta.size, 8192)))
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .channel import (
     BeamGeometry,
@@ -40,8 +39,14 @@ _S_LO, _S_HI = math.log(_U_LO), math.log(_U_HI)
 _WINDOW = (-30.0, 16.0)
 _WINDOW_PANELS = 46
 _GENERAL_PANELS = math.ceil(_S_HI - _S_LO) + 1
-_GL_X, _GL_W = leggauss(12)
-_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+# numpy's leggauss(12), symmetric bit for bit, from its positive nodes and their weights;
+# importing numpy.polynomial for it raised every command's peak memory by 1 MB
+_GL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                  0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL_X = 0.5 * (np.concatenate((-_GL_X[::-1], _GL_X)) + 1.0)
+_GL_W = 0.5 * np.concatenate((_GL_W[::-1], _GL_W))
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ EDGE_TOLERANCE = 0.01
 # fit search rectangle: (sigma_b2, a_over_W)
 FIT_BOUNDS = ((1e-3, 2.0), (0.2, 4.0))
 
-# the coarse fit grid has this many log-spaced values per axis, 256
-# candidates of 512 points each; the best few of them are refined
+# the coarse fit grid has this many log-spaced values per axis, 256 candidates
+# of 512 points each, taken in two halves of a/W; the best few are refined
 _FIT_GRID = 16
 _FIT_CANDIDATES = 4
 
@@ -339,7 +339,7 @@ def fit_geometry(series: TransmittanceSeries) -> FitResult:
     of T = sqrt(eta) and the model CDF, `pdt_cdf`'s kernel, on a grid of 512
     points; each evaluation matches the Weibull law over its whole array of
     a/W.  It is first evaluated on a coarse log-spaced grid over the search
-    rectangle, in one broadcast; a compass search then refines the best few
+    rectangle, in two broadcasts; a compass search then refines the best few
     candidates in lockstep.  Each step probes every candidate one step up
     and down along each axis, clipped to the rectangle, moves it to its best
     probe that lowers the objective and halves its step otherwise, until the
@@ -390,7 +390,8 @@ def _fit(n, counts, lo, hi) -> FitResult:
     (s_lo, s_hi), (a_lo, a_hi) = FIT_BOUNDS
     a, s = np.meshgrid(np.geomspace(a_lo, a_hi, _FIT_GRID),
                        np.geomspace(s_lo, s_hi, _FIT_GRID), indexing="ij")
-    coarse = objective(a[:, :1], s)
+    # in two halves of a/W, whose rows are independent: all 16 x 16 x 512 points peak at 2.2 MiB
+    coarse = np.concatenate([objective(*h) for h in zip(np.split(a[:, :1], 2), np.split(s, 2))])
     starts = np.argsort(coarse, axis=None, kind="stable")[:_FIT_CANDIDATES]
     a, s, f = a.flat[starts], s.flat[starts], coarse.flat[starts]
     # one log step for both axes, first the coarse grid's a/W spacing

@@ -143,12 +143,13 @@ class TestSeriesPieces:
     @pytest.mark.parametrize("n", [100_000, 400_000])
     def test_stats_and_fit_in_bounded_memory(self, tmp_path, n):
         # each piece is reduced as it is parsed, so the traced peak is that of
-        # one piece, plus the search for fit: 1.0 and 2.3 MB at either n, where
-        # the whole series took 6.2 and 8.4 MB at 4e5
+        # one piece, plus the search for fit: 1.4 MiB for either at either n
+        # (fit 2.3 MiB when its coarse grid was one broadcast), where the whole
+        # series took 6.2 and 8.4 MB at 4e5
         path = tmp_path / "series.txt"
         eta = np.random.default_rng(n).random(n)
         path.write_text("%.17g\n" * n % tuple(eta.tolist()))
-        for argv, limit in ((["stats"], 2 * 2**20), (["fit"], 4 * 2**20)):
+        for argv, limit in ((["stats"], 2 * 2**20), (["fit"], 2 * 2**20)):
             tracemalloc.start()
             try:
                 code = series_outcome(path, *argv)[0]
@@ -421,6 +422,20 @@ class TestCurve:
             assert code == 0
             assert len(capsys.readouterr().out.splitlines()) == steps * len(sigmas) + 1
             assert peak <= 16e6, steps
+
+    def test_long_group_rows_in_bounded_memory(self, capsys):
+        # a pass of one long sigma_b2 group hands its rows on as Python lists
+        # _PASS_ROWS at a time: 10.2 MiB traced, against 12.7 MiB for the
+        # 40000 rows as one list (and 16.5 against 41.3 MiB for curve --steps 100000)
+        tracemalloc.start()
+        try:
+            code = main(["ln-curve", "--steps", "20000", "--variance", "2", "--variance", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 40001
+        assert peak <= 11.5 * 2**20
 
 
 class TestLnCurve:
@@ -730,6 +745,22 @@ class TestSample:
         assert lines == n + 1
         assert peak <= 8 * 2**20
 
+    def test_written_in_sub_blocks(self, tmp_path):
+        # each sub-block's text of 8192 samples is written alone: 2.2 MiB traced,
+        # against 3.3 MiB when the 8 of a block were joined into one str
+        dst = str(tmp_path / "samples.txt")
+        main(["sample", "--aw", "1", "--samples", "10", "--out", dst])  # a first call's imports
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--aw", "1", "--samples", "500000", "--out", dst])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(dst, "rb") as fh:
+            assert sum(1 for _ in fh) == 500_001
+        assert peak <= 3 * 2**20
+
     @pytest.mark.parametrize("n", [1, 65536, 65537])
     def test_out_file_holds_stdout_text(self, tmp_path, capsys, n):
         argv = ("sample", "--aw", "1.5", "--samples", str(n), "--seed", "11")
@@ -966,15 +997,15 @@ class TestPipeline:
         assert rows_of(out)[1][0][3] == "50"
 
 
-def scipy_modules_after(*argvs):
-    """Names of the scipy modules a fresh interpreter holds after running `argvs`."""
+def modules_after(*argvs, package="scipy"):
+    """Names of the modules of `package` a fresh interpreter holds after running `argvs`."""
     src = os.path.dirname(os.path.dirname(beamfade.__file__))
     probe = ("import contextlib, io, sys\n"
              "from beamfade.cli import main\n"
              f"for argv in {[list(a) for a in argvs]!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert main(argv) == 0, argv\n"
-             "print(*(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+             f"print(*(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -986,14 +1017,14 @@ class TestStartUp:
 
     def test_import_loads_no_integrate_or_optimize(self):
         # no command needs scipy.integrate or scipy.optimize any more
-        assert not [m for m in scipy_modules_after()
+        assert not [m for m in modules_after()
                     if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
     def test_approx_commands_load_no_scipy(self, tmp_path):
         # the Weibull matching sums its rim values in closed form and the fit
         # searches a numpy grid
         data = str(tmp_path / "s.txt")
-        assert scipy_modules_after(
+        assert modules_after(
             ("curve", "--steps", "3"), ("ln-curve", "--steps", "3"),
             ("kr-curve", "--optimize", "--steps", "3"),
             ("sample", "--aw", "1", "--samples", "100", "--out", data),
@@ -1002,12 +1033,17 @@ class TestStartUp:
     def test_exact_model_loads_no_scipy(self, tmp_path):
         # the exact kernel sums its own series and expansion on numpy
         data = str(tmp_path / "s.txt")
-        assert scipy_modules_after(
+        assert modules_after(
             ("curve", "--model", "exact", "--steps", "3"),
             ("ln-curve", "--model", "exact", "--steps", "3"),
             ("kr-curve", "--model", "exact", "--steps", "3"),
             ("sample", "--model", "exact", "--aw", "1", "--samples", "100",
              "--out", data)) == []
+
+    def test_moment_rule_loads_no_numpy_polynomial(self):
+        # the rule's Gauss-Legendre nodes are literals; importing
+        # numpy.polynomial for them raised every command's peak memory by 1 MB
+        assert modules_after(("curve", "--model", "exact"), package="numpy.polynomial") == []
 
 
 # values every numeric flag is fuzzed with: finite floats (half of them in

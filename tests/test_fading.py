@@ -96,6 +96,12 @@ class TestFadingStats:
 
 class TestAnalyticMoments:
 
+    def test_rule_is_numpys_gauss_legendre(self):
+        # the literal rule, mapped to [0, 1], is leggauss(12)'s bit for bit
+        x, w = np.polynomial.legendre.leggauss(12)
+        assert beamfade.fading._GL_X.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert beamfade.fading._GL_W.tobytes() == (0.5 * w).tobytes()
+
     def test_reference_point_frozen_approx(self):
         stats = analytic_moments(REF_GEOMETRY)
         assert stats.eta_mean == pytest.approx(0.6016475436755949, abs=1e-9)
