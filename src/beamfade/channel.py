@@ -488,14 +488,16 @@ def pdt_cdf(t, params: WeibullParams, sigma_b2: float):
     return out if out.ndim else float(out)
 
 
-_SAMPLE_BLOCK = 65536  # offsets the sampler draws and maps at a time
+_SAMPLE_BLOCK = 65536  # offsets the sampler draws at a time
+_SAMPLE_PIECE = 8192  # offsets it maps at a time, as the exact map holds ~250 B per offset
 
 
 def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
-    """`sample_transmittance`'s samples, as a generator of blocks of _SAMPLE_BLOCK,
-    returned once every check has passed: n, seed, model and the model's limit
-    in a/W.  y comes from a second generator of the seed that has drawn and
-    discarded n values, so the blocks join into the draw of x, then of y."""
+    """`sample_transmittance`'s samples, as a generator of pieces of _SAMPLE_PIECE
+    in draw order, returned once every check has passed: n, seed, model and the
+    model's limit in a/W.  x and y are drawn in blocks of _SAMPLE_BLOCK, y from a
+    second generator of the seed that has drawn and discarded n values, so the
+    pieces join into the draw of x, then of y."""
     for name, x, least in (("n (sample count)", n, 1), ("seed", seed, 0)):
         _require(name, x, lambda v: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                  and v >= least, f"an integer >= {least}")
@@ -505,17 +507,15 @@ def _sample_blocks(geometry: BeamGeometry, seed: int, n: int, model: str):
         eta = partial(eta_approx, params=weibull_params(geometry.a_over_W))
     else:
         _eta_exact(0.0, geometry.a_over_W)  # raises where 4 (a/W)^2 overflows
-
-        def eta(r):  # 8192 offsets at a time, as the map holds ~250 B per offset
-            return np.concatenate([_eta_exact(r[i:i + 8192], geometry.a_over_W)
-                                   for i in range(0, r.size, 8192)])
+        eta = partial(_eta_exact, a_over_W=geometry.a_over_W)
     sigma = math.sqrt(geometry.sigma_b2)
     sizes = [min(_SAMPLE_BLOCK, n - start) for start in range(0, n, _SAMPLE_BLOCK)]
     xs, ys = np.random.default_rng(seed), np.random.default_rng(seed)
     for size in sizes:
         ys.normal(0.0, sigma, size=size)
-    return (eta(np.hypot(xs.normal(0.0, sigma, size=size), ys.normal(0.0, sigma, size=size)))
-            for size in sizes)
+    offsets = (np.hypot(xs.normal(0.0, sigma, size=size), ys.normal(0.0, sigma, size=size))
+               for size in sizes)
+    return (eta(r[i:i + _SAMPLE_PIECE]) for r in offsets for i in range(0, r.size, _SAMPLE_PIECE))
 
 
 def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
@@ -526,8 +526,9 @@ def sample_transmittance(geometry: BeamGeometry, seed: int, n: int,
     normal with variance sigma_b2, sets r = sqrt(x^2 + y^2) and maps each
     offset through the Weibull approximation (default) or the exact clipping
     transmittance.  Identical seed and parameters give an identical sequence:
-    all of x, then all of y, from `numpy.random.default_rng(seed)`, drawn and
-    mapped in blocks of 65536 that the result joins (16 B per sample at peak).
+    all of x, then all of y, from `numpy.random.default_rng(seed)`, drawn in
+    blocks of 65536 and mapped in pieces of 8192 that the result joins (16 B
+    per sample at peak).
 
     Parameters
     ----------

@@ -4,12 +4,12 @@ Every subcommand returns its output as text pieces, CSV with a single header
 row and 12 significant digits per value (or the plain-text sample format),
 and `main` writes them once, to stdout or to --out.  Every command checks its
 inputs before it returns, so a failed command writes nothing: `sample` then
-draws and formats its samples block by block as they are written, and the
+draws and formats its samples piece by piece as they are written, and the
 others have computed their whole output.  Each sample's line is the text of
 "%.17g": numpy writes every sample in [1e-4, 1) from its 17 digits, formed by
 exact integer arithmetic; the others (0, 1, the exponent form) take % one by
-one, or in one % for a block where they are half or more.  Exit status is 0
-on success, 1 on a computation error, and 2 on an input or I/O error.
+one.  Exit status is 0 on success, 1 on a computation error, and 2 on an
+input or I/O error.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def _sample_rows(x, digits):
     bytes and those of % with spaces, and both pads are deleted at the end.
     """
     fast = (x >= 1e-4) & (x < 1.0)
-    v = np.where(fast, x, 0.5)
+    v = x[fast]
     mantissa, e = np.frexp(v)
     m, e = (mantissa * 2.0**53).astype(np.uint64), e - 53
     exp10 = np.floor(np.log10(v)).astype(np.intp)
@@ -248,7 +248,7 @@ def _sample_rows(x, digits):
     lead, high = np.divmod(high, 10**8)
     groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
     # a row: NUL NUL "0.", -E - 1 zeros and the lead digit, 4 groups of digits, "\n"
-    rows = np.empty((x.size, 7), "<u4")  # little-endian words, whatever the machine
+    rows = np.empty((v.size, 7), "<u4")  # little-endian words, whatever the machine
     rows[:, 0] = int.from_bytes(b"\0\0" b"0.", "little")
     rows[:, 1] = (0x303030 >> 8 * (exp10 + 4)) + (lead.astype(np.intp) + 48 << 24)
     for k, group in enumerate(groups[:3]):
@@ -260,43 +260,40 @@ def _sample_rows(x, digits):
         ends = ends[groups[k][ends] == 0]
     rows[:, 6] = ord("\n")
     slow = np.flatnonzero(~fast)
-    text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode()
-    rows.view(np.uint8)[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    if slow.size:  # a % row: its text padded to 24 bytes, then "\n" and NUL bytes
+        rows, fast_rows = np.full((x.size, 7), ord("\n"), "<u4"), rows
+        rows[fast] = fast_rows
+        text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode()
+        rows.view(np.uint8)[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
     return rows.tobytes().translate(None, b"\0 ").decode()
 
 
-def _sample_text(blocks):
-    """The text "%.17g\\n" % x of each sample x of `blocks`: one str per sub-block
-    of 8192 samples of a block with more than half its samples in [1e-4, 1),
-    which `_sample_rows` makes in less memory than one % of the block, and one
-    str by one % per other block, which is then the faster.  The table holds in
-    row 0 the 4 ASCII digits of each group 0000-9999 as one little-endian word,
-    and in row 1 the same with trailing zeros as NUL bytes."""
+def _sample_text(pieces):
+    """The text "%.17g\\n" % x of each sample x of `pieces`, one str per piece by
+    `_sample_rows`, with its table of digits.  The table holds in row 0 the 4
+    ASCII digits of each group 0000-9999 as one little-endian word, and in row 1
+    the same with trailing zeros as NUL bytes."""
     digits = None
-    for eta in blocks:
+    for eta in pieces:
         if digits is None:  # built before the first draw, it raised its peak 0.4 MB
             group = np.arange(10000, dtype=np.uint16)[:, None]
             digit = group // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48
             kept = group % np.array([10000, 1000, 100, 10], np.uint16) > 0  # not a trailing 0
             digits = np.stack([digit, digit * kept]).astype(np.uint8).view("<u4")[..., 0]
-        if 2 * np.count_nonzero((eta >= 1e-4) & (eta < 1.0)) <= eta.size:
-            yield "%.17g\n" * eta.size % tuple(eta.tolist())
-        else:
-            yield from (_sample_rows(x, digits) for x in np.split(
-                eta, range(8192, eta.size, 8192)))
+        yield _sample_rows(eta, digits)
 
 
 def cmd_sample(args):
     # the checks run here, so a failing sample raises before main opens --out;
-    # the samples are then drawn block by block as main writes them
-    blocks = _sample_blocks(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
+    # the samples are then drawn, mapped and formatted piece by piece as main writes them
+    pieces = _sample_blocks(BeamGeometry(a_over_W=args.aw, sigma_b2=args.sigma_b2),
                             args.seed, args.samples, args.model)
     header = (f"# transmittance samples a_over_W={args.aw:.12g} "
               f"sigma_b2={args.sigma_b2:.12g} n={args.samples} "
               f"seed={args.seed} model={args.model}\n")
-    # each block's text is "%.17g\n" % x per sample x, made by exact integer arithmetic
+    # each piece's text is "%.17g\n" % x per sample x, made by exact integer arithmetic
     # at about 100 ns per sample in [1e-4, 1), against 415 for % (2-CPU Intel Xeon)
-    return chain([header], _sample_text(blocks))
+    return chain([header], _sample_text(pieces))
 
 
 # each command's help and function, in the order that the usage lists them

@@ -687,12 +687,22 @@ class TestSampler:
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
     @pytest.mark.parametrize("seed", [1, 7, 20260819])
-    # the sampler draws and maps blocks of 65536 offsets
-    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 200001])
+    # the sampler draws blocks of 65536 offsets and maps pieces of 8192
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 65535, 65536, 65537, 200001])
     def test_blocks_join_into_whole_draw(self, n, seed, model):
         geom = BeamGeometry(1.3, 0.4)
         got = sample_transmittance(geom, seed=seed, n=n, model=model)
         assert got.tobytes() == sample_whole(geom, seed, n, model).tobytes()
+
+    @pytest.mark.parametrize("model", ["approx", "exact"])
+    def test_pieces_in_draw_order(self, model):
+        # a block of 65536 offsets, then one of 8193, each mapped in pieces
+        geom, n = BeamGeometry(1.3, 0.4), 65536 + 8193
+        pieces = list(_sample_blocks(geom, 7, n, model))
+        assert max(p.size for p in pieces) <= 8192
+        want = np.split(sample_whole(geom, 7, n, model), np.cumsum([p.size for p in pieces]))
+        assert [p.tobytes() for p in pieces] == [w.tobytes() for w in want[:-1]]
+        assert want[-1].size == 0
 
     @pytest.mark.parametrize("geom, seed, n, model, error", [
         (BeamGeometry(1.0, 0.3), 1, 0, "approx", ValueError),

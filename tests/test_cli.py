@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import beamfade
 from beamfade import ingest, keyrate
-from beamfade.channel import BeamGeometry, exact_eta_at_offset, sample_transmittance
+from beamfade.channel import (
+    _SAMPLE_PIECE, BeamGeometry, _sample_blocks, exact_eta_at_offset, sample_transmittance)
 from beamfade.cli import (
-    _PASS_ROWS, _SWEEP_BLOCK, _csv, _sample_rows, _sample_text, _sweep, build_parser,
-    cmd_sample, main)
+    _PASS_ROWS, _SWEEP_BLOCK, _csv, _sample_text, _sweep, build_parser, cmd_sample, main)
 from beamfade.fading import _moments, analytic_moments, empirical_moments
 from beamfade.gaussian import CovMat2, apply_fading_channel, log_negativity, tmsv
 from beamfade.keyrate import EPSILON_MAX, V_MAX, ProtocolParams, holevo_bound, mutual_information
@@ -708,7 +708,7 @@ class TestSample:
             assert float(line) == pytest.approx(eta_max, rel=1e-12)
 
     @pytest.mark.parametrize("model", ["approx", "exact"])
-    # the samples are written in blocks of 65536
+    # the samples are drawn in blocks of 65536 and written in pieces of 8192
     @pytest.mark.parametrize("n", [1, 1000, 65536, 65537])
     def test_text_is_shortest_repr_per_sample(self, capsys, model, n):
         code, out, _ = run(capsys, "sample", "--aw", "1.5", "--sigma-b2", "0.2",
@@ -733,8 +733,8 @@ class TestSample:
 
     @pytest.mark.parametrize("n", [100_000, 2_000_000])
     def test_text_in_bounded_memory(self, n):
-        # each block of 65536 samples is drawn and formatted as it is written,
-        # so the pieces of any count peak at about 5 MB
+        # x and y are drawn 65536 at a time, and each piece of 8192 samples is
+        # mapped and formatted as it is written, so any count peaks at about 5 MB
         args = build_parser().parse_args(["sample", "--aw", "1", "--samples", str(n)])
         tracemalloc.start()
         try:
@@ -746,7 +746,7 @@ class TestSample:
         assert peak <= 8 * 2**20
 
     def test_written_in_sub_blocks(self, tmp_path):
-        # each sub-block's text of 8192 samples is written alone: 2.2 MiB traced,
+        # each piece's text of 8192 samples is written alone: 2.2 MiB traced,
         # against 3.3 MiB when the 8 of a block were joined into one str
         dst = str(tmp_path / "samples.txt")
         main(["sample", "--aw", "1", "--samples", "10", "--out", dst])  # a first call's imports
@@ -803,8 +803,9 @@ def percent_text(x):
 
 
 def sample_text(x):
-    """The text that `sample` writes now, of x as one block."""
-    return "".join(_sample_text([x]))
+    """The text that `sample` writes now, of x in the pieces of _SAMPLE_PIECE that
+    `_sample_blocks` yields."""
+    return "".join(_sample_text(np.split(x, range(_SAMPLE_PIECE, x.size, _SAMPLE_PIECE))))
 
 
 def assert_percent_text(x):
@@ -820,7 +821,7 @@ def ulps_around(x, count):
 
 def sub_block_edges():
     """Samples whose values outside [1e-4, 1) take the first and the last slot
-    of each of `_sample_text`'s sub-blocks of 8192."""
+    of each piece of 8192 that `_sample_text` formats."""
     x = np.random.default_rng(5).uniform(1e-4, 1.0, 3 * 8192 + 5)
     ends = [0, 8191, 8192, 16383, 16384, x.size - 1]
     x[ends] = [0.0, 1.0, 3e-7, 5e-324, 9.999999999999999e-05, 1.0]
@@ -828,7 +829,7 @@ def sub_block_edges():
 
 
 def half_in_range(extra):
-    """Two sub-blocks whose samples alternate between [1e-4, 1) and 1, 0, the
+    """Two pieces whose samples alternate between [1e-4, 1) and 1, 0, the
     exponent form and subnormals, with `extra` more samples in [1e-4, 1)."""
     rng = np.random.default_rng(6)
     x = rng.uniform(1e-4, 1.0, 2 * 8192)
@@ -847,9 +848,13 @@ EDGE_VALUES = {
     "special": np.array([0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0)]),
     "trailing-zeros": np.array([0.5, 0.25, 0.1, 0.125, 0.0625, 0.75]),
     "sub-block-edges": sub_block_edges(),
-    # half the block outside [1e-4, 1) takes one %, one sample fewer the rows
     "half-in-range": half_in_range(0),
     "half-in-range-and-one": half_in_range(1),
+    # the rows of a piece with no sample in [1e-4, 1) are all % text, and those
+    # of a piece with every sample there hold no % text
+    "none-in-range": np.array([0.0, 1.0, 3e-7, 5e-324, 1e-310]),
+    "all-in-range": np.concatenate([[1e-4, np.nextafter(1.0, 0.0)],
+                                    np.random.default_rng(8).uniform(1e-4, 1.0, 8190)]),
 }
 
 
@@ -865,27 +870,16 @@ class TestSampleText:
     def test_edge_values(self, name):
         assert_percent_text(EDGE_VALUES[name])
 
-    @pytest.mark.parametrize("extra, sub_blocks", [(0, 0), (1, 2)])
-    def test_block_mostly_outside_range_takes_percent(self, monkeypatch, extra, sub_blocks):
-        # % writes 0, 1 and the exponent form faster than the rows, which splice them
-        calls = []
-
-        def counted(x, digits):
-            calls.append(x.size)
-            return _sample_rows(x, digits)
-
-        monkeypatch.setattr("beamfade.cli._sample_rows", counted)
-        assert_percent_text(half_in_range(extra))
-        assert calls == [8192] * sub_blocks
-
     def test_block_in_less_memory_than_percent(self):
-        # one block of 65536 samples: 2.9 MB traced against 4.0 MB for one %
-        eta = sample_transmittance(BeamGeometry(1.0, 0.3), seed=1, n=65536)
+        # the text of one block of 65536 samples, in the pieces that
+        # `_sample_blocks` yields: 2.9 MB traced against 4.0 MB for one %
+        pieces = list(_sample_blocks(BeamGeometry(1.0, 0.3), 1, 65536, "approx"))
+        eta = np.concatenate(pieces)
         peaks = []
-        for text in (percent_text, sample_text):
+        for text, x in ((percent_text, eta), (lambda p: "".join(_sample_text(p)), pieces)):
             tracemalloc.start()
             try:
-                text(eta)
+                text(x)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
